@@ -45,16 +45,11 @@ using WorkloadRow = sim::SweepRow;
  * if empty) in parallel. Progress is reported as "k/N" lines on
  * stderr from an atomic completed-job counter — safe under
  * concurrency, unlike the old per-workload dot.
- *
- * Columns run batched by default (@p batch): one lockstep job per
- * workload streams the trace once through all lanes (sim/
- * batch_runner.hh) with bit-identical stats. DLVP_BATCH=0/1
- * overrides the default for A/B throughput measurements.
  */
 inline std::vector<WorkloadRow>
 runSuite(const std::vector<Config> &configs,
          std::vector<std::string> workloads = {},
-         std::size_t insts = kBenchInsts, bool batch = true)
+         std::size_t insts = kBenchInsts)
 {
     sim::SweepSpec spec;
     spec.configs = configs;
@@ -62,9 +57,6 @@ runSuite(const std::vector<Config> &configs,
     spec.insts = insts;
     spec.core = sim::baselineCore();
     spec.baseline = sim::baselineVp();
-    if (const char *env = std::getenv("DLVP_BATCH"))
-        batch = env[0] != '0';
-    spec.batch = batch;
     spec.progress = [](std::size_t done, std::size_t total) {
         // One fputs per event: atomic at the stdio level, and the
         // count comes from the engine's shared counter, so lines are
@@ -77,21 +69,6 @@ runSuite(const std::vector<Config> &configs,
         std::fflush(stderr);
     };
     auto result = sim::runSweep(spec);
-    // Grid-column amortization factor: lanes sharing one trace
-    // fetch/decode/functional-replay per column (1.0 = serial cells).
-    {
-        double lanes_sum = 0.0;
-        for (const auto &row : result.rows)
-            lanes_sum += row.batch ? row.lanes : 1.0;
-        const double factor =
-            result.rows.empty()
-                ? 1.0
-                : lanes_sum / static_cast<double>(result.rows.size());
-        std::fprintf(stderr,
-                     "batch: %s, column amortization factor %.1fx "
-                     "(mean lanes per trace stream)\n",
-                     spec.batch ? "on" : "off", factor);
-    }
     // Per-job isolation (DESIGN.md §9): a failed cell is reported and
     // excluded from the means below, not fatal to the whole figure.
     if (result.failedJobs() != 0) {

@@ -129,19 +129,6 @@ FaultPlan::parse(const std::string &spec)
                 throw RunError(ErrorKind::Internal,
                                "fault plan: bad stall target in '" +
                                    entry + "'");
-        } else if (kind == "lane") {
-            rule.kind = Kind::Lane;
-            const auto slash = body.find('/');
-            rule.workload =
-                slash == std::string::npos ? body
-                                           : body.substr(0, slash);
-            rule.config = slash == std::string::npos
-                              ? "*"
-                              : body.substr(slash + 1);
-            if (rule.workload.empty() || rule.config.empty())
-                throw RunError(ErrorKind::Internal,
-                               "fault plan: bad lane target in '" +
-                                   entry + "'");
         } else if (kind == "cache" || kind == "conn") {
             rule.kind = kind == "cache" ? Kind::Cache : Kind::Conn;
             const auto at = body.find('@');
@@ -189,7 +176,7 @@ FaultPlan::parse(const std::string &spec)
         } else {
             throw RunError(ErrorKind::Internal,
                            "fault plan: unknown rule kind '" + kind +
-                               "' (build/stall/lane/trunc/flip/cache/"
+                               "' (build/stall/trunc/flip/cache/"
                                "conn/seed)");
         }
         plan.rules_.push_back(std::move(rule));
@@ -227,17 +214,6 @@ FaultPlan::stallMs(const std::string &workload,
             matches(r.config, config))
             return static_cast<unsigned>(r.param);
     return 0;
-}
-
-bool
-FaultPlan::failLane(const std::string &workload,
-                    const std::string &config) const
-{
-    for (const Rule &r : rules_)
-        if (r.kind == Kind::Lane && matches(r.workload, workload) &&
-            matches(r.config, config))
-            return true;
-    return false;
 }
 
 bool

@@ -9,7 +9,6 @@
 #include "common/annotations.hh"
 #include "common/logging.hh"
 #include "common/run_error.hh"
-#include "trace/funct_stream.hh"
 
 namespace dlvp::core
 {
@@ -18,17 +17,12 @@ using trace::OpClass;
 using trace::TraceInst;
 
 OoOCore::OoOCore(const CoreParams &params, const VpConfig &vp,
-                 const trace::Trace &trace,
-                 const trace::FunctStream *shared_values)
+                 const trace::Trace &trace)
     : params_(params), vp_(vp), trace_(trace), mem_(params.memory),
       tage_({}), ittage_({}), mdp_(),
       lph_(vp.pap.histBits),
       paq_(vp.paqSize, vp.paqLifetime),
-      funct_(shared_values),
-      // With a shared stream the private architectural image is never
-      // read: skip copying the initial image into it entirely.
-      archMem_(shared_values ? trace::MemoryImage{}
-                             : trace.initialImage),
+      archMem_(trace.initialImage),
       committedMem_(trace.initialImage)
 {
     cursor_.reset(trace_);
@@ -161,20 +155,11 @@ OoOCore::firstFetchFunctional(InstSeqNum seq, const TraceInst &inst)
         auto &vals = loadValues_[slot];
         loadValSeq_[slot] = seq;
         const unsigned n = std::max<unsigned>(1, inst.numDests);
-        if (funct_ != nullptr) {
-            // Shared pre-captured stream: the replay below already
-            // ran once (FunctStream::capture) for every lane.
-            const std::uint64_t *vs = funct_->values(seq);
-            for (unsigned d = 0; d < n; ++d)
-                vals[d] = vs[d];
-            return;
-        }
         for (unsigned d = 0; d < n; ++d)
             vals[d] = archMem_.read(inst.memAddr + d * inst.memSize,
                                     inst.memSize);
     }
-    if (funct_ == nullptr &&
-        (inst.isStore() || inst.cls == OpClass::Atomic))
+    if (inst.isStore() || inst.cls == OpClass::Atomic)
         archMem_.write(inst.memAddr, inst.storeValue, inst.memSize);
 }
 
@@ -1407,46 +1392,39 @@ OoOCore::fastForward(Cycle deadline)
     now_ = target;
 }
 
-void
-OoOCore::beginRun(std::size_t warmup_insts)
+CoreStats
+OoOCore::run(std::size_t warmup_insts)
 {
-    runCtl_ = RunControl{};
-    runCtl_.deadlockLimit = params_.maxNoCommitCycles
-                                ? params_.maxNoCommitCycles
-                                : 200000;
-    runCtl_.warmupInsts = warmup_insts;
-    runCtl_.warm = warmup_insts == 0;
+    DLVP_HOT;
+    using WallClock = std::chrono::steady_clock;
+    const Cycle deadlock_limit = params_.maxNoCommitCycles
+                                     ? params_.maxNoCommitCycles
+                                     : 200000;
+    Cycle last_commit_cycle = 0;
+    InstSeqNum last_committed = 0;
+    Cycle warmup_cycles = 0;
+    bool warm = warmup_insts == 0;
 
     // Wall-clock watchdog: sampled every 4096 loop iterations so the
     // fault-free path stays free of clock syscalls. Granularity is
     // coarse by design — this guards against wedged runs, not for
     // precise accounting.
-    using WallClock = std::chrono::steady_clock;
-    runCtl_.wallLimited = params_.maxWallMs > 0.0;
-    runCtl_.wallDeadline =
-        runCtl_.wallLimited
+    const bool wall_limited = params_.maxWallMs > 0.0;
+    const WallClock::time_point wall_deadline =
+        wall_limited
             ? WallClock::now() +
                   std::chrono::duration_cast<WallClock::duration>(
                       std::chrono::duration<double, std::milli>(
                           params_.maxWallMs))
             : WallClock::time_point::max();
-}
+    std::uint64_t wall_check = 0;
 
-bool
-OoOCore::stepUntil(InstSeqNum target_committed)
-{
-    DLVP_HOT;
-    using WallClock = std::chrono::steady_clock;
-    RunControl &rc = runCtl_;
-    const InstSeqNum stop =
-        std::min<InstSeqNum>(target_committed, trace_.size());
-
-    while (committed_ < stop) {
-        if (!rc.warm && committed_ >= rc.warmupInsts) {
+    while (committed_ < trace_.size()) {
+        if (!warm && committed_ >= warmup_insts) {
             // End of warmup: measurement region starts here, as with
             // the paper's simpoint methodology.
-            rc.warm = true;
-            rc.warmupCycles = now_;
+            warm = true;
+            warmup_cycles = now_;
             stats_ = CoreStats{};
             mem_.resetStats();
         }
@@ -1457,21 +1435,21 @@ OoOCore::stepUntil(InstSeqNum target_committed)
         fetchStage();
         ++now_;
 
-        if (committed_ != rc.lastCommitted) {
-            rc.lastCommitted = committed_;
-            rc.lastCommitCycle = now_;
-        } else if (now_ - rc.lastCommitCycle > rc.deadlockLimit) {
+        if (committed_ != last_committed) {
+            last_committed = committed_;
+            last_commit_cycle = now_;
+        } else if (now_ - last_commit_cycle > deadlock_limit) {
             // Recoverable form of the old deadlock panic: the sweep
             // layer records this as a failed row instead of dying.
             throw common::RunError(
                 common::ErrorKind::SimDeadlock,
-                "no commit for " + std::to_string(rc.deadlockLimit) +
+                "no commit for " + std::to_string(deadlock_limit) +
                     " cycles (committed=" +
                     std::to_string(committed_) +
                     " window=" + std::to_string(window_.size()) + ")");
         }
-        if (rc.wallLimited && (++rc.wallCheck & 0xFFF) == 0 &&
-            WallClock::now() > rc.wallDeadline)
+        if (wall_limited && (++wall_check & 0xFFF) == 0 &&
+            WallClock::now() > wall_deadline)
             throw common::RunError(
                 common::ErrorKind::SimTimeout,
                 "core wall-clock budget of " +
@@ -1483,32 +1461,19 @@ OoOCore::stepUntil(InstSeqNum target_committed)
         // event-free; an unconditional call would jump to the
         // deadlock horizon and inflate stats_.cycles.
         if (committed_ < trace_.size())
-            fastForward(rc.lastCommitCycle + rc.deadlockLimit);
+            fastForward(last_commit_cycle + deadlock_limit);
         // Everything below the commit point is dead; for streamed
         // traces this unpins decoded chunks the window has left
         // behind (no-op compare for materialized traces).
         cursor_.retireTo(committed_);
     }
-    return committed_ >= trace_.size();
-}
 
-CoreStats
-OoOCore::finishRun()
-{
-    stats_.cycles = now_ - runCtl_.warmupCycles;
+    stats_.cycles = now_ - warmup_cycles;
     stats_.tlbMisses = mem_.tlb().misses();
     stats_.l2Accesses = mem_.l2().hits() + mem_.l2().misses();
     stats_.l3Accesses = mem_.l3().hits() + mem_.l3().misses();
     stats_.memAccesses = mem_.l3().misses();
     return stats_;
-}
-
-CoreStats
-OoOCore::run(std::size_t warmup_insts)
-{
-    beginRun(warmup_insts);
-    stepUntil(trace_.size());
-    return finishRun();
 }
 
 } // namespace dlvp::core

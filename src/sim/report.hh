@@ -59,7 +59,7 @@ struct RunPerf;
  * pair followed by either the stats object (ok/retried, with optional
  * sampling telemetry) or the structured error (failed/timeout).
  * Shared by writeSweepJson and the dlvp-serve daemon so served,
- * cached, and batch-report rows all carry the identical dlvp-sweep-v1
+ * cached, and sweep-report rows all carry the identical dlvp-sweep-v1
  * cell schema. Does not touch stream formatting: callers that need
  * writeSweepJson's rendering set precision 12 on @p os first.
  */

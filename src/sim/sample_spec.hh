@@ -1,9 +1,8 @@
 /**
  * @file
  * Interval sampling parameters, split from sampler.hh so SweepSpec /
- * SweepResult can embed a SampleSpec without pulling the sampler's
- * batch-runner dependencies into sweep.hh (which batch_runner.hh
- * itself includes).
+ * SweepResult can embed a SampleSpec while sweep.hh stays a plain
+ * data header that does not depend on the sampler.
  */
 
 #ifndef DLVP_SIM_SAMPLE_SPEC_HH

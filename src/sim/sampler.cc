@@ -25,37 +25,6 @@ validateSpec(const SampleSpec &sample)
             "sample spec: periodInsts must cover warmup + measure");
 }
 
-/**
- * Drive @p run_interval over every interval of @p trace. Owns the
- * functional fast-forward: the architectural image is advanced by
- * store replay from the end of one slice to the start of the next, so
- * each interval begins from correct memory state. Boundaries depend
- * only on (trace size, spec) — the determinism anchor.
- */
-template <typename RunInterval>
-std::size_t
-forEachInterval(const trace::Trace &trace, const SampleSpec &sample,
-                RunInterval &&run_interval)
-{
-    trace::MemoryImage image = trace.initialImage;
-    std::size_t pos = 0;
-    std::size_t intervals = 0;
-    for (std::size_t start = 0; start < trace.size();
-         start += sample.periodInsts) {
-        trace::advanceImage(image, trace, pos, start);
-        pos = start;
-        const std::size_t avail = trace.size() - start;
-        if (avail <= sample.warmupInsts)
-            break; // no measurable instructions left in the tail
-        const std::size_t count = std::min(
-            avail, sample.warmupInsts + sample.measureInsts);
-        const trace::Trace slice = trace.slice(start, count, image);
-        run_interval(slice);
-        ++intervals;
-    }
-    return intervals;
-}
-
 } // namespace
 
 double
@@ -76,78 +45,25 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
 {
     validateSpec(sample);
     SampledRun out;
-    out.intervals = forEachInterval(
-        trace, sample, [&](const trace::Trace &slice) {
-            core::OoOCore core(params, vp, slice);
-            out.stats.accumulate(core.run(sample.warmupInsts));
-        });
-    return out;
-}
-
-SampledBatchResult
-runSampledBatch(const core::CoreParams &params,
-                const trace::Trace &trace,
-                const std::vector<BatchLane> &lanes,
-                const SampleSpec &sample, const BatchOptions &opts)
-{
-    validateSpec(sample);
-    SampledBatchResult out;
-    out.lanes.resize(lanes.size());
-
-    BatchOptions interval_opts = opts;
-    interval_opts.warmupInsts =
-        static_cast<long long>(sample.warmupInsts);
-
-    // live[i] maps an original lane to its slot while it survives; a
-    // lane that fails keeps its first structured outcome and drops out
-    // of later intervals, mirroring runBatch's per-lane isolation.
-    std::vector<bool> failed(lanes.size(), false);
-    std::vector<core::CoreStats> agg(lanes.size());
-    std::vector<RunPerf> perf(lanes.size());
-    std::uint64_t sliceInsts = 0;
-
-    out.intervals = forEachInterval(
-        trace, sample, [&](const trace::Trace &slice) {
-            std::vector<BatchLane> liveLanes;
-            std::vector<std::size_t> liveIdx;
-            for (std::size_t i = 0; i < lanes.size(); ++i) {
-                if (failed[i])
-                    continue;
-                liveLanes.push_back(lanes[i]);
-                liveIdx.push_back(i);
-            }
-            if (liveLanes.empty())
-                return;
-            sliceInsts += slice.size();
-            const std::vector<BatchLaneResult> res =
-                runBatch(params, slice, liveLanes, interval_opts);
-            for (std::size_t k = 0; k < liveIdx.size(); ++k) {
-                const std::size_t i = liveIdx[k];
-                if (!res[k].outcome.ok()) {
-                    failed[i] = true;
-                    out.lanes[i].outcome = res[k].outcome;
-                    continue;
-                }
-                agg[i].accumulate(res[k].stats);
-                perf[i].wallMs += res[k].perf.wallMs;
-                perf[i].pagesTouched = std::max(
-                    perf[i].pagesTouched, res[k].perf.pagesTouched);
-                perf[i].cyclesSkipped += res[k].perf.cyclesSkipped;
-            }
-        });
-
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        if (failed[i])
-            continue;
-        out.lanes[i].stats = agg[i];
-        out.lanes[i].perf = perf[i];
-        out.lanes[i].perf.mips =
-            perf[i].wallMs > 0.0
-                ? static_cast<double>(sliceInsts) /
-                      (perf[i].wallMs * 1e3)
-                : 0.0;
-        out.lanes[i].outcome.status = JobStatus::Ok;
-        out.lanes[i].outcome.attempts = 1;
+    // Functional fast-forward: the architectural image is advanced by
+    // store replay from the end of one slice to the start of the next,
+    // so each interval begins from correct memory state. Boundaries
+    // depend only on (trace size, spec) — the determinism anchor.
+    trace::MemoryImage image = trace.initialImage;
+    std::size_t pos = 0;
+    for (std::size_t start = 0; start < trace.size();
+         start += sample.periodInsts) {
+        trace::advanceImage(image, trace, pos, start);
+        pos = start;
+        const std::size_t avail = trace.size() - start;
+        if (avail <= sample.warmupInsts)
+            break; // no measurable instructions left in the tail
+        const std::size_t count = std::min(
+            avail, sample.warmupInsts + sample.measureInsts);
+        const trace::Trace slice = trace.slice(start, count, image);
+        core::OoOCore core(params, vp, slice);
+        out.stats.accumulate(core.run(sample.warmupInsts));
+        ++out.intervals;
     }
     return out;
 }

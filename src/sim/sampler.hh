@@ -18,8 +18,8 @@
  * Determinism: interval boundaries are instruction indices derived
  * from (trace size, SampleSpec) alone — never wall time — and each
  * interval simulates a materialized slice seeded only by the spec, so
- * sampled CoreStats are bit-identical across job counts and between
- * the serial and batched drivers (ctest label `mega`).
+ * sampled CoreStats are bit-identical across job counts and
+ * scheduling orders (ctest label `mega`).
  *
  * Streaming: slices materialize O(warmup + measure) instructions at a
  * time via Trace::forEachInst, so sampling a v2-backed streamed trace
@@ -31,11 +31,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/core_stats.hh"
 #include "core/params.hh"
-#include "sim/batch_runner.hh"
 #include "sim/sample_spec.hh"
 #include "trace/trace.hh"
 
@@ -83,30 +81,6 @@ SampledRun runSampled(const core::CoreParams &params,
                       const core::VpConfig &vp,
                       const trace::Trace &trace,
                       const SampleSpec &sample);
-
-/** Per-lane outcome of a batched sampled column. */
-struct SampledBatchResult
-{
-    /** One aggregated result per lane, in lane order. */
-    std::vector<BatchLaneResult> lanes;
-
-    /** Intervals simulated (shared by all surviving lanes). */
-    std::size_t intervals = 0;
-};
-
-/**
- * Batched variant: every interval slice streams once through all
- * lanes in lockstep (sim::runBatch with the sampler's warmup), and
- * per-lane stats accumulate across intervals. A lane that fails in
- * any interval keeps its structured JobOutcome and is dropped from
- * later intervals; surviving lanes' aggregated stats are
- * bit-identical to runSampled of the same lane (ctest label `mega`).
- */
-SampledBatchResult
-runSampledBatch(const core::CoreParams &params,
-                const trace::Trace &trace,
-                const std::vector<BatchLane> &lanes,
-                const SampleSpec &sample, const BatchOptions &opts = {});
 
 } // namespace dlvp::sim
 

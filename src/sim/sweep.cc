@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "sim/batch_runner.hh"
 #include "sim/sampler.hh"
 #include "trace/workloads.hh"
 
@@ -319,183 +318,6 @@ runSweep(const SweepSpec &spec)
         if (spec.progress)
             spec.progress(k, total);
     };
-
-    // ---- batched column scheduling ------------------------------
-    // One lockstep job per workload: the trace (and its functional
-    // replay) is paid once per grid column, and runBatch isolates
-    // per-lane faults. Cells carry the same outcomes, stats, and
-    // per-job seeds as the per-cell path, so results stay
-    // bit-identical; only RunPerf telemetry differs.
-    if (spec.batch && batchable(spec.core) && ncols > 1) {
-        const auto finish_column = [&](std::size_t wi) {
-            store.evict(workloads[wi], spec.insts);
-            for (std::size_t ci = 0; ci < ncols; ++ci) {
-                const std::size_t k =
-                    done.fetch_add(1, std::memory_order_acq_rel) + 1;
-                if (spec.progress)
-                    spec.progress(k, total);
-            }
-        };
-
-        const auto fail_column = [&](std::size_t wi,
-                                     const common::RunError &err,
-                                     unsigned attempts) {
-            SweepRow &row = result.rows[wi];
-            const JobStatus status =
-                err.kind() == common::ErrorKind::SimTimeout
-                    ? JobStatus::Timeout
-                    : JobStatus::Failed;
-            for (std::size_t ci = 0; ci < ncols; ++ci) {
-                JobOutcome &o = ci == 0 ? row.baselineOutcome
-                                        : row.outcomes[ci - 1];
-                o.status = status;
-                o.errorKind = err.kind();
-                o.error = err.describe();
-                o.attempts = attempts;
-            }
-        };
-
-        const auto run_column = [&](std::size_t wi) {
-            const std::string &w = workloads[wi];
-            SweepRow &row = result.rows[wi];
-            row.batch = true;
-            row.lanes = static_cast<unsigned>(ncols);
-
-            // The column-shared part (trace acquisition) keeps the
-            // per-cell transient-retry semantics.
-            std::shared_ptr<const trace::Trace> tr;
-            unsigned attempts = 1;
-            for (;; ++attempts) {
-                try {
-                    if (deadline_expired())
-                        throw common::RunError(
-                            common::ErrorKind::SimTimeout,
-                            "sweep deadline expired before job start");
-                    tr = store.acquire(w, spec.insts);
-                    break;
-                } catch (...) {
-                    const common::RunError err =
-                        common::normalizeCurrentException(
-                            "workload=" + w + " column attempt=" +
-                            std::to_string(attempts));
-                    if (err.transient() && attempts < max_attempts &&
-                        !deadline_expired()) {
-                        // Capped + jittered: the column retry seed is
-                        // a pure function of the workload, so the
-                        // delay sequence is schedule-independent.
-                        if (const unsigned ms = retryDelayMs(
-                                spec.retryBackoffMs, attempts + 1,
-                                jobSeed(w, "column")))
-                            std::this_thread::sleep_for(
-                                std::chrono::milliseconds(ms));
-                        continue;
-                    }
-                    fail_column(wi, err, attempts);
-                    return;
-                }
-            }
-
-            std::vector<BatchLane> lanes(ncols);
-            for (std::size_t ci = 0; ci < ncols; ++ci) {
-                lanes[ci].name = ci == 0 ? "baseline"
-                                         : spec.configs[ci - 1].name;
-                lanes[ci].vp = ci == 0 ? spec.baseline
-                                       : spec.configs[ci - 1].vp;
-                if (spec.perJobSeed)
-                    lanes[ci].vp.rngSeed = jobSeed(w, lanes[ci].name);
-                // Per-cell stall faults fire before the column runs,
-                // like each serial job sleeping in turn would.
-                if (const unsigned ms = faults.stallMs(w,
-                                                       lanes[ci].name))
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(ms));
-            }
-
-            std::vector<BatchLaneResult> res;
-            std::vector<SampleCell> cells(ncols);
-            if (spec.sample.enabled) {
-                const SampledBatchResult sres = runSampledBatch(
-                    spec.core, *tr, lanes, spec.sample);
-                res = sres.lanes;
-                // The optional full-run check streams the column once
-                // more in lockstep; per-lane CPI errors come from the
-                // same lane pairing.
-                std::vector<BatchLaneResult> full;
-                if (spec.sample.check)
-                    full = runBatch(spec.core, *tr, lanes);
-                for (std::size_t ci = 0; ci < ncols; ++ci) {
-                    if (!res[ci].outcome.ok())
-                        continue;
-                    cells[ci].intervals = sres.intervals;
-                    cells[ci].sampledInsts =
-                        res[ci].stats.committedInsts;
-                    if (spec.sample.check &&
-                        full[ci].outcome.ok()) {
-                        SampledRun sr;
-                        sr.stats = res[ci].stats;
-                        sr.intervals = sres.intervals;
-                        cells[ci].cpiError =
-                            cpiError(sr, full[ci].stats);
-                    }
-                }
-            } else {
-                res = runBatch(spec.core, *tr, lanes);
-            }
-            for (std::size_t ci = 0; ci < ncols; ++ci) {
-                JobOutcome o = res[ci].outcome;
-                if (o.ok() && attempts > 1) {
-                    o.status = JobStatus::Retried;
-                    o.attempts = attempts;
-                }
-                if (ci == 0) {
-                    row.baseline = res[ci].stats;
-                    row.baselinePerf = res[ci].perf;
-                    row.baselineOutcome = std::move(o);
-                    row.baselineSample = cells[ci];
-                } else {
-                    row.results[ci - 1] = res[ci].stats;
-                    row.perf[ci - 1] = res[ci].perf;
-                    row.outcomes[ci - 1] = std::move(o);
-                    row.samples[ci - 1] = cells[ci];
-                }
-            }
-        };
-
-        ThreadPool pool(spec.jobs ? spec.jobs
-                                  : ThreadPool::defaultJobs());
-        std::vector<std::future<void>> futures;
-        futures.reserve(workloads.size());
-        for (std::size_t wi = 0; wi < workloads.size(); ++wi)
-            futures.push_back(pool.submit([&, wi] {
-                run_column(wi);
-                finish_column(wi);
-            }));
-
-        bool cancelled_pending = false;
-        for (std::size_t wi = 0; wi < futures.size(); ++wi) {
-            if (has_deadline && !cancelled_pending &&
-                futures[wi].wait_until(deadline) !=
-                    std::future_status::ready) {
-                pool.cancelPending();
-                cancelled_pending = true;
-            }
-            try {
-                futures[wi].get();
-            } catch (const std::future_error &) {
-                result.rows[wi].batch = true;
-                result.rows[wi].lanes = static_cast<unsigned>(ncols);
-                fail_column(
-                    wi,
-                    common::RunError(
-                        common::ErrorKind::SimTimeout,
-                        "sweep deadline expired; column cancelled "
-                        "before start"),
-                    0);
-                finish_column(wi);
-            }
-        }
-        return result;
-    }
 
     // One grid cell, fully isolated: every failure becomes a
     // structured JobOutcome in the cell's own slot. The per-job seed

@@ -185,13 +185,8 @@ struct SweepSpec
     /** Trace store to use; nullptr = TraceStore::global(). */
     TraceStore *store = nullptr;
     /**
-     * Batched column scheduling: run all configs of one workload as a
-     * single lockstep job (sim::runBatch) instead of one job per
-     * cell, so the trace is fetched/decoded once per grid column.
-     * CoreStats are bit-identical either way (tests/
-     * test_batch_runner.cc); only RunPerf telemetry differs. Falls
-     * back to per-cell jobs when batchable(core) is false (cores with
-     * a wall-clock budget) or the grid has a single column.
+     * No effect: every cell runs as its own job. Kept only so callers
+     * that still assign it keep compiling; slated for removal.
      */
     bool batch = false;
 
@@ -201,7 +196,7 @@ struct SweepSpec
      * rows carry per-cell SampleCell telemetry; with sample.check the
      * full run happens too and the CPI error is recorded. Sampled
      * results keep the determinism contract: bit-identical for any
-     * job count and between batched and per-cell scheduling.
+     * job count and scheduling order.
      */
     SampleSpec sample{};
 
@@ -248,10 +243,6 @@ struct SweepRow
     std::vector<RunPerf> perf;            ///< one per spec config
     JobOutcome baselineOutcome;           ///< baseline cell status
     std::vector<JobOutcome> outcomes;     ///< one per spec config
-    /** This row ran as one batched lockstep column job. */
-    bool batch = false;
-    /** Lanes in that job (baseline + configs); 1 for per-cell jobs. */
-    unsigned lanes = 1;
     /** Sampling telemetry; meaningful when the sweep sampled. */
     SampleCell baselineSample;
     std::vector<SampleCell> samples; ///< one per spec config

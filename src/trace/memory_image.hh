@@ -36,7 +36,7 @@ namespace dlvp::trace
  * Page-granular sparse memory. Unwritten bytes read as zero.
  * Copyable so a trace can snapshot its initial image; copies share
  * pages copy-on-write, so snapshotting a multi-megabyte image into
- * every core (and every batched lane) costs pointer copies, and a page
+ * every core (and every sampled slice) costs pointer copies, and a page
  * is only duplicated when one of the sharers first writes it.
  */
 class MemoryImage

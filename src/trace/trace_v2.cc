@@ -623,8 +623,11 @@ ChunkedTraceFile::chunk(std::uint64_t ci) const
     decodeChunkPayload(payload.data(), enc_len, count, checksum,
                        *decoded);
     cache_.insert(cache_.begin(), CacheEntry{ci, decoded});
-    // Lockstep lanes stay within one batch chunk (8192 insts) of each
-    // other, so a handful of decoded chunks covers every sharer.
+    // The remaining sharers are concurrent sweep cells reading one
+    // TraceStore-held streamed trace: cells that start together walk
+    // it near each other, so a handful of recent chunks lets them
+    // decode each chunk once. A cell that falls further behind just
+    // re-decodes (and re-validates) the chunk it needs.
     constexpr std::size_t kMaxCached = 4;
     if (cache_.size() > kMaxCached)
         cache_.resize(kMaxCached);

@@ -134,8 +134,9 @@ void loadTraceV2OrThrow(Trace &trace, std::istream &is);
  * Random-access handle on a v2 trace file. Parses the header and the
  * index footer eagerly (pages included — the image is needed before
  * instruction zero anyway) but decodes instruction chunks lazily and
- * caches the most recent few so concurrent readers (batched lanes,
- * the shared TraceStore) decode each chunk once, not once per lane.
+ * caches the most recent few so concurrent readers (sweep cells
+ * sharing one TraceStore-held trace) decode each chunk once, not once
+ * per reader.
  *
  * Thread-safe: chunk() may be called from any number of threads.
  *

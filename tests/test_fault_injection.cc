@@ -92,7 +92,10 @@ TEST(FaultPlan, RejectsMalformedSpecs)
 {
     for (const char *bad :
          {"build", "build:", "bogus:mcf", "stall:mcf", "flip:12",
-          "flip:1.9", "trunc:xyz", "build:mcf@0", "seed"}) {
+          "flip:1.9", "trunc:xyz", "build:mcf@0", "seed",
+          // The batched-column lane rule is gone; a stale plan that
+          // still names it must fail loudly, not inject nothing.
+          "lane:mcf"}) {
         EXPECT_THROW((void)FaultPlan::parse(bad), RunError) << bad;
     }
     try {

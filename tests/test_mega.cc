@@ -5,8 +5,7 @@
  * injection), the streaming reader's equivalence with materialized
  * traces and its O(chunk) memory bound, the mega-trace generator's
  * schedule/density contract, and the interval sampler's determinism —
- * bit-identical sampled CoreStats for any job count and between the
- * batched and per-cell drivers.
+ * bit-identical sampled CoreStats for any job count.
  */
 
 #include <gtest/gtest.h>
@@ -355,8 +354,8 @@ TEST(Mega, StreamedFileMatchesMaterializedBuild)
 }
 
 // ---------------------------------------------------------------------
-// Interval sampler determinism (ISSUE acceptance: bit-identical
-// sampled CoreStats under any job count and batched vs serial)
+// Interval sampler determinism (bit-identical sampled CoreStats
+// under any job count)
 // ---------------------------------------------------------------------
 
 sim::SampleSpec
@@ -400,29 +399,6 @@ TEST(Sampler, DeterministicAndCoversEveryPeriod)
     EXPECT_GT(a.cpi(), 0.0);
 }
 
-TEST(Sampler, BatchedMatchesSerialBitIdentically)
-{
-    const Trace t = buildMega(smallMega());
-    const auto sample = smallSample();
-    const std::vector<sim::BatchLane> lanes = {
-        {"baseline", sim::baselineVp()},
-        {"dlvp", sim::dlvpConfig()},
-        {"stride-dlvp", sim::strideDlvpConfig()},
-    };
-    const auto batched = sim::runSampledBatch(sim::baselineCore(), t,
-                                              lanes, sample);
-    ASSERT_EQ(batched.lanes.size(), lanes.size());
-    for (std::size_t li = 0; li < lanes.size(); ++li) {
-        ASSERT_TRUE(batched.lanes[li].outcome.ok()) << lanes[li].name;
-        const auto solo = sim::runSampled(sim::baselineCore(),
-                                          lanes[li].vp, t, sample);
-        EXPECT_TRUE(batched.lanes[li].stats == solo.stats)
-            << "lane " << lanes[li].name
-            << " diverged from its solo sampled run";
-        EXPECT_EQ(batched.intervals, solo.intervals);
-    }
-}
-
 TEST(Sampler, CpiErrorAgainstFullRunIsFinite)
 {
     const Trace t = buildMega(smallMega());
@@ -437,7 +413,7 @@ TEST(Sampler, CpiErrorAgainstFullRunIsFinite)
 
 /** Sampled sweep over the mega workload, parameterized by jobs. */
 sim::SweepResult
-sampledSweep(unsigned jobs, bool batch)
+sampledSweep(unsigned jobs)
 {
     sim::SweepSpec spec;
     spec.workloads = {"mega-mix"};
@@ -450,7 +426,6 @@ sampledSweep(unsigned jobs, bool batch)
         spec.configs.push_back({n, vp});
     }
     spec.jobs = jobs;
-    spec.batch = batch;
     spec.sample = smallSample();
     spec.sample.check = true; // exercise the cpi_error path too
     spec.store = nullptr;
@@ -459,32 +434,27 @@ sampledSweep(unsigned jobs, bool batch)
 
 TEST(Sampler, SweepIsBitIdenticalForAnyJobCountAndScheduling)
 {
-    const auto serial = sampledSweep(1, false);
-    const auto parallel = sampledSweep(8, false);
-    const auto batched = sampledSweep(8, true);
+    const auto serial = sampledSweep(1);
+    const auto parallel = sampledSweep(8);
     ASSERT_EQ(serial.rows.size(), 1u);
     const auto &r1 = serial.rows[0];
-    for (const auto *other : {&parallel, &batched}) {
-        const auto &r2 = other->rows[0];
-        ASSERT_TRUE(r1.baselineOutcome.ok() &&
-                    r2.baselineOutcome.ok());
-        EXPECT_TRUE(r1.baseline == r2.baseline);
-        ASSERT_EQ(r1.results.size(), r2.results.size());
-        for (std::size_t ci = 0; ci < r1.results.size(); ++ci) {
-            ASSERT_TRUE(r1.cellOk(ci) && r2.cellOk(ci));
-            EXPECT_TRUE(r1.results[ci] == r2.results[ci]);
-            EXPECT_EQ(r1.samples[ci].intervals,
-                      r2.samples[ci].intervals);
-            EXPECT_EQ(r1.samples[ci].sampledInsts,
-                      r2.samples[ci].sampledInsts);
-            EXPECT_DOUBLE_EQ(r1.samples[ci].cpiError,
-                             r2.samples[ci].cpiError);
-        }
-        EXPECT_EQ(r1.baselineSample.intervals,
-                  r2.baselineSample.intervals);
-        EXPECT_DOUBLE_EQ(r1.baselineSample.cpiError,
-                         r2.baselineSample.cpiError);
+    const auto &r2 = parallel.rows[0];
+    ASSERT_TRUE(r1.baselineOutcome.ok() && r2.baselineOutcome.ok());
+    EXPECT_TRUE(r1.baseline == r2.baseline);
+    ASSERT_EQ(r1.results.size(), r2.results.size());
+    for (std::size_t ci = 0; ci < r1.results.size(); ++ci) {
+        ASSERT_TRUE(r1.cellOk(ci) && r2.cellOk(ci));
+        EXPECT_TRUE(r1.results[ci] == r2.results[ci]);
+        EXPECT_EQ(r1.samples[ci].intervals, r2.samples[ci].intervals);
+        EXPECT_EQ(r1.samples[ci].sampledInsts,
+                  r2.samples[ci].sampledInsts);
+        EXPECT_DOUBLE_EQ(r1.samples[ci].cpiError,
+                         r2.samples[ci].cpiError);
     }
+    EXPECT_EQ(r1.baselineSample.intervals,
+              r2.baselineSample.intervals);
+    EXPECT_DOUBLE_EQ(r1.baselineSample.cpiError,
+                     r2.baselineSample.cpiError);
     // check=true must have produced real error numbers.
     EXPECT_GE(r1.baselineSample.cpiError, 0.0);
     EXPECT_GE(r1.samples[0].cpiError, 0.0);

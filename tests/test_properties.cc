@@ -93,6 +93,15 @@ struct SchemeCase
     const char *scheme;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, i.e.
+// the two string addresses, and ctest's discovered test names would
+// then change with every build.
+void
+PrintTo(const SchemeCase &c, std::ostream *os)
+{
+    *os << c.workload << '/' << c.scheme;
+}
+
 class SchemeMatrix : public ::testing::TestWithParam<SchemeCase>
 {
 };

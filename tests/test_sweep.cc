@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -142,7 +143,11 @@ SweepSpec
 smallSpec(unsigned jobs)
 {
     SweepSpec spec;
-    spec.configs = {{"dlvp", dlvpConfig()}, {"vtage", vtageConfig()}};
+    // Every non-baseline catalog config, so the parallel-vs-serial
+    // check covers variants that no golden row pins.
+    for (const ConfigDesc &c : configCatalog())
+        if (std::string(c.name) != "baseline")
+            spec.configs.push_back({c.name, c.make()});
     spec.workloads = {"perlbmk", "mcf", "crafty", "vpr"};
     spec.insts = 12000;
     spec.core = baselineCore();
@@ -167,11 +172,18 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
         EXPECT_EQ(a.workload, b.workload);
         EXPECT_TRUE(a.baseline == b.baseline)
             << "baseline CoreStats differ on " << a.workload;
+        ASSERT_TRUE(a.baselineOutcome.ok() && b.baselineOutcome.ok())
+            << a.workload;
         ASSERT_EQ(a.results.size(), b.results.size());
-        for (std::size_t ci = 0; ci < a.results.size(); ++ci)
+        for (std::size_t ci = 0; ci < a.results.size(); ++ci) {
+            ASSERT_TRUE(a.cellOk(ci) && b.cellOk(ci))
+                << "row " << a.workload << " config "
+                << s1.configs[ci].name << " failed";
             EXPECT_TRUE(a.results[ci] == b.results[ci])
-                << "row " << a.workload << " config " << ci
+                << "row " << a.workload << " config "
+                << s1.configs[ci].name
                 << " differs between 1 and 8 threads";
+        }
     }
 }
 
@@ -210,7 +222,7 @@ TEST(Sweep, EvictsTracesAsWorkloadsFinish)
     EXPECT_EQ(store.cachedCount(), 0u)
         << "each workload's trace is evicted after its last job";
     EXPECT_EQ(store.buildCount(), spec.workloads.size())
-        << "each trace built exactly once despite 3 jobs sharing it";
+        << "each trace built exactly once despite every job sharing it";
 }
 
 TEST(Sweep, ProgressCounterReachesTotal)
@@ -229,9 +241,10 @@ TEST(Sweep, ProgressCounterReachesTotal)
         ++calls;
     };
     (void)runSweep(spec);
-    // 2 workloads x (baseline + 2 configs) = 6 jobs.
-    EXPECT_EQ(max_done.load(), 6u);
-    EXPECT_EQ(calls.load(), 6u);
+    // 2 workloads x (baseline + every config) jobs.
+    const std::size_t jobs = 2 * (1 + spec.configs.size());
+    EXPECT_EQ(max_done.load(), jobs);
+    EXPECT_EQ(calls.load(), jobs);
 }
 
 // ---- JSON report ----

@@ -84,8 +84,6 @@ usage()
         "  serve-request <socket> --ping|--stats|--shutdown\n"
         "options: --scheme <name> --insts <n> --warmup <n> --dump\n"
         "         --jobs <n> (or DLVP_JOBS) --json <file>\n"
-        "         --batch | --no-batch (lockstep column scheduling;\n"
-        "           default on for suite, off for sweep)\n"
         "         --deadline-ms <n> (sweep/suite wall-clock budget)\n"
         "         --fault-plan <spec> (or DLVP_FAULT_INJECT; see\n"
         "           README \"Fault tolerance\" for the grammar)\n"
@@ -123,8 +121,6 @@ struct Options
     std::string jsonPath;    ///< write dlvp-sweep-v1 report here
     double deadlineMs = 0.0; ///< sweep wall-clock budget; 0 = none
     bool dump = false;
-    /** -1 = command default (suite: on, sweep: off), 0 off, 1 on. */
-    int batch = -1;
     /** Interval sampling; sample.enabled set by --sample*. */
     sim::SampleSpec sample;
     /** gen: write v2 instead of v1. */
@@ -184,10 +180,6 @@ parseOptions(int argc, char **argv, int start, Options &opt)
                 std::fprintf(stderr, "%s\n", e.what());
                 return false;
             }
-        } else if (a == "--batch") {
-            opt.batch = 1;
-        } else if (a == "--no-batch") {
-            opt.batch = 0;
         } else if (a == "--dump") {
             opt.dump = true;
         } else if (a == "--sample") {
@@ -404,7 +396,6 @@ cmdSweep(const std::string &workload, const Options &opt)
     auto spec = sweepSpec(opt);
     spec.workloads = {workload};
     spec.deadlineMs = opt.deadlineMs;
-    spec.batch = opt.batch == 1;
     const auto result = sim::runSweep(spec);
     const auto &row = result.rows.front();
     if (row.baselineOutcome.ok())
@@ -432,10 +423,6 @@ cmdSuite(const Options &opt)
 {
     auto spec = sweepSpec(opt);
     spec.deadlineMs = opt.deadlineMs;
-    // Suite defaults to batched columns: results are bit-identical
-    // (sweep determinism tests) and whole-grid throughput is what the
-    // command exists for.
-    spec.batch = opt.batch != 0;
     spec.progress = [](std::size_t done, std::size_t total) {
         std::fprintf(stderr, "\r%zu/%zu jobs%s", done, total,
                      done == total ? "\n" : "");
