@@ -15,9 +15,10 @@
  * not distorted by co-scheduled sweep jobs; pass --jobs to override.
  *
  * A final pass runs the composed mega traces (mega-mix, mega-storm)
- * at 1M+ uops under interval sampling and appends one row per config
- * with "sampled": true; their detailed-engine MIPS is summarized as
- * summary.mega_mips alongside the serial-cell gate metric.
+ * at 1M uops (--mega-insts) under interval sampling and appends one
+ * row per config with "sampled": true; their detailed-engine MIPS is
+ * summarized as summary.mega_mips alongside the serial-cell gate
+ * metric.
  *
  *   perf_baseline [--insts N] [--mega-insts N] [--jobs J]
  *                 [--out FILE] [--ref FILE] [--no-mega]
@@ -37,6 +38,14 @@ namespace
 {
 
 using namespace dlvp;
+
+/**
+ * Default scale of a bare run: the committed BENCH_perf.json reference
+ * and tools/perf_check use 60k-uop rows and 1M-uop mega traces (the
+ * fig binaries' bench::kBenchInsts is 300k).
+ */
+constexpr std::size_t kPerfInsts = 60000;
+constexpr std::size_t kPerfMegaInsts = 1000000;
 
 struct PerfRow
 {
@@ -171,8 +180,8 @@ main(int argc, char **argv)
 {
     using namespace dlvp::bench;
 
-    std::size_t insts = kBenchInsts;
-    std::size_t mega_insts = 0; // 0 -> derived from insts below
+    std::size_t insts = kPerfInsts;
+    std::size_t mega_insts = kPerfMegaInsts;
     unsigned jobs = 1;
     std::string out = "BENCH_perf.json";
     std::string ref;
@@ -200,12 +209,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    // The mega pass scales with --insts so the ci_check perf smoke
-    // (--insts 30000) stays cheap while the recorded reference uses
-    // 1M+-uop composed traces (default 300000 * 4 = 1.2M).
-    if (mega_insts == 0)
-        mega_insts = insts * 4;
-
     sim::SweepSpec spec;
     // DLVP plus the registry-zoo entries: the perf gate watches the
     // new accelerators' simulation throughput from the PR they land.

@@ -45,22 +45,25 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
 {
     validateSpec(sample);
     SampledRun out;
-    // Functional fast-forward: the architectural image is advanced by
-    // store replay from the end of one slice to the start of the next,
-    // so each interval begins from correct memory state. Boundaries
-    // depend only on (trace size, spec) — the determinism anchor.
+    // One forward pass over the trace: the architectural image is
+    // advanced by store replay up to each interval's start, snapshotted
+    // (copy-on-write) into the slice, then carried through the slice's
+    // own stores, so the next fast-forward resumes at the slice's end
+    // and every instruction is decoded once. Boundaries depend only on
+    // (trace size, spec) — the determinism anchor.
     trace::MemoryImage image = trace.initialImage;
-    std::size_t pos = 0;
+    std::size_t pos = 0; // image holds the memory state as of pos
     for (std::size_t start = 0; start < trace.size();
          start += sample.periodInsts) {
         trace::advanceImage(image, trace, pos, start);
-        pos = start;
         const std::size_t avail = trace.size() - start;
         if (avail <= sample.warmupInsts)
             break; // no measurable instructions left in the tail
         const std::size_t count = std::min(
             avail, sample.warmupInsts + sample.measureInsts);
-        const trace::Trace slice = trace.slice(start, count, image);
+        const trace::Trace slice =
+            trace::sliceAndAdvance(trace, image, start, count);
+        pos = start + count;
         core::OoOCore core(params, vp, slice);
         out.stats.accumulate(core.run(sample.warmupInsts));
         ++out.intervals;

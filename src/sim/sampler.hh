@@ -15,6 +15,11 @@
  * (trace::advanceImage), so every interval starts from the
  * architecturally correct memory state.
  *
+ * One forward pass: each interval's slice snapshots the running image
+ * copy-on-write and replays its own stores into it
+ * (trace::sliceAndAdvance), so the next fast-forward resumes at the
+ * slice's end and every instruction is decoded exactly once.
+ *
  * Determinism: interval boundaries are instruction indices derived
  * from (trace size, SampleSpec) alone — never wall time — and each
  * interval simulates a materialized slice seeded only by the spec, so
@@ -22,7 +27,7 @@
  * scheduling orders (ctest label `mega`).
  *
  * Streaming: slices materialize O(warmup + measure) instructions at a
- * time via Trace::forEachInst, so sampling a v2-backed streamed trace
+ * time via Trace::slice, so sampling a v2-backed streamed trace
  * never materializes the full instruction stream.
  */
 

@@ -23,10 +23,23 @@ Trace::forEachInst(
     std::size_t begin, std::size_t end,
     const std::function<void(const TraceInst &)> &fn) const
 {
+    forEachSpan(begin, end,
+                [&fn](const TraceInst *first, std::size_t n) {
+                    for (std::size_t k = 0; k < n; ++k)
+                        fn(first[k]);
+                });
+}
+
+void
+Trace::forEachSpan(
+    std::size_t begin, std::size_t end,
+    const std::function<void(const TraceInst *, std::size_t)> &fn) const
+{
     end = std::min(end, size());
+    if (begin >= end)
+        return;
     if (!stream_) {
-        for (std::size_t i = begin; i < end; ++i)
-            fn(insts[i]);
+        fn(insts.data() + begin, end - begin);
         return;
     }
     const std::uint32_t per = stream_->chunkInsts();
@@ -35,8 +48,8 @@ Trace::forEachInst(
         const auto chunk = stream_->chunk(ci);
         const std::size_t start = stream_->chunkStart(ci);
         const std::size_t stop = std::min(end, start + chunk->size());
-        for (; i < stop; ++i)
-            fn((*chunk)[i - start]);
+        fn(chunk->data() + (i - start), stop - i);
+        i = stop;
     }
 }
 
@@ -49,9 +62,9 @@ Trace::slice(std::size_t begin, std::size_t count,
     sub.suite = suite;
     sub.initialImage = std::move(image);
     sub.insts.reserve(count);
-    forEachInst(begin, begin + count,
-                [&sub](const TraceInst &inst) {
-                    sub.insts.push_back(inst);
+    forEachSpan(begin, begin + count,
+                [&sub](const TraceInst *first, std::size_t n) {
+                    sub.insts.insert(sub.insts.end(), first, first + n);
                 });
     return sub;
 }
@@ -62,9 +75,10 @@ Trace::materialize()
     if (!stream_)
         return;
     insts.reserve(streamSize_);
-    forEachInst([this](const TraceInst &inst) {
-        insts.push_back(inst);
-    });
+    forEachSpan(0, streamSize_,
+                [this](const TraceInst *first, std::size_t n) {
+                    insts.insert(insts.end(), first, first + n);
+                });
     stream_.reset();
     streamSize_ = 0;
 }
@@ -119,14 +133,39 @@ Trace::verifyReplay() const
     return bad;
 }
 
+namespace
+{
+
+/** Replay the architectural writes (stores, atomics) of @p n insts. */
+void
+replayStores(MemoryImage &image, const TraceInst *first, std::size_t n)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        const TraceInst &inst = first[k];
+        if (inst.isStore() || inst.cls == OpClass::Atomic)
+            image.write(inst.memAddr, inst.storeValue, inst.memSize);
+    }
+}
+
+} // namespace
+
 void
 advanceImage(MemoryImage &image, const Trace &trace,
              std::size_t begin, std::size_t end)
 {
-    trace.forEachInst(begin, end, [&image](const TraceInst &inst) {
-        if (inst.isStore() || inst.cls == OpClass::Atomic)
-            image.write(inst.memAddr, inst.storeValue, inst.memSize);
-    });
+    trace.forEachSpan(begin, end,
+                      [&image](const TraceInst *first, std::size_t n) {
+                          replayStores(image, first, n);
+                      });
+}
+
+Trace
+sliceAndAdvance(const Trace &trace, MemoryImage &image,
+                std::size_t begin, std::size_t count)
+{
+    Trace sub = trace.slice(begin, count, image);
+    replayStores(image, sub.insts.data(), sub.insts.size());
+    return sub;
 }
 
 } // namespace dlvp::trace

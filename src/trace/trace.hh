@@ -99,6 +99,17 @@ class Trace
     }
 
     /**
+     * Visit instructions [begin, end) as contiguous runs: @p fn gets
+     * (first, n) once per decoded chunk of a streamed trace, or once
+     * for a materialized one, so bulk consumers pay one call per run
+     * instead of one per instruction. @p end is clamped to size().
+     */
+    void forEachSpan(
+        std::size_t begin, std::size_t end,
+        const std::function<void(const TraceInst *, std::size_t)> &fn)
+        const;
+
+    /**
      * Materialized sub-trace of instructions [begin, begin+count)
      * executing against @p image (the caller supplies the functional
      * memory state at @p begin — see advanceImage). Sampled
@@ -136,6 +147,17 @@ class Trace
  */
 void advanceImage(MemoryImage &image, const Trace &trace,
                   std::size_t begin, std::size_t end);
+
+/**
+ * trace.slice(begin, count, image) then advanceImage(image, trace,
+ * begin, begin + count), decoding the window once: the slice runs
+ * against a copy-on-write snapshot of @p image (the state at @p
+ * begin), and @p image leaves holding the state at begin + count,
+ * replayed from the slice's own copy of the instructions. The
+ * sampler's per-interval step (sim/sampler.hh).
+ */
+Trace sliceAndAdvance(const Trace &trace, MemoryImage &image,
+                      std::size_t begin, std::size_t count);
 
 } // namespace dlvp::trace
 

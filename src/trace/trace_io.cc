@@ -161,9 +161,10 @@ saveTrace(const Trace &trace, std::ostream &os)
                  MemoryImage::kPageSize);
     }
 
-    put<std::uint64_t>(os, trace.insts.size());
-    for (const auto &inst : trace.insts)
-        putInst(os, inst);
+    // size()/forEachInst serve streamed (v2-backed) traces too, so
+    // trace-convert --to v1 works from a streamed v2 file.
+    put<std::uint64_t>(os, trace.size());
+    trace.forEachInst([&os](const TraceInst &inst) { putInst(os, inst); });
     return static_cast<bool>(os);
 }
 

@@ -41,14 +41,15 @@ corruptErr(const std::string &what)
                            "trace file (v2): " + what);
 }
 
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/** FNV-1a 64 over [data, data + len), continuing from state @p h. */
 std::uint64_t
-fnv1a(const char *data, std::size_t len)
+fnv1a(std::uint64_t h, const char *data, std::size_t len)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001b3ULL;
-    }
+    for (std::size_t i = 0; i < len; ++i)
+        h = (h ^ static_cast<unsigned char>(data[i])) * kFnvPrime;
     return h;
 }
 
@@ -75,22 +76,43 @@ putVarint(std::string &out, std::uint64_t v)
     out.push_back(static_cast<char>(v));
 }
 
-/** Decode one LEB128 varint from [p, end); corruptErr on overrun. */
-std::uint64_t
-getVarint(const char *&p, const char *end)
+/**
+ * Cursor over one chunk payload that folds every byte it consumes into
+ * the payload's FNV-1a checksum, so decoding and hashing share one
+ * pass: the multiply chain is latency-bound and the decode work
+ * executes in its shadow.
+ */
+struct PayloadReader
 {
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (p < end && shift < 70) {
-        const std::uint8_t b = static_cast<std::uint8_t>(*p++);
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if ((b & 0x80) == 0)
-            return v;
-        shift += 7;
+    const char *p;
+    const char *end;
+    std::uint64_t hash = kFnvBasis;
+
+    std::uint8_t
+    byte()
+    {
+        const auto b = static_cast<std::uint8_t>(*p++);
+        hash = (hash ^ b) * kFnvPrime;
+        return b;
     }
-    corruptErr(p >= end ? "varint runs past chunk payload"
-                        : "varint longer than 64 bits");
-}
+
+    /** Decode one LEB128 varint; corruptErr on overrun. */
+    std::uint64_t
+    varint()
+    {
+        std::uint64_t v = 0;
+        unsigned shift = 0;
+        while (p < end && shift < 70) {
+            const std::uint8_t b = byte();
+            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+            if ((b & 0x80) == 0)
+                return v;
+            shift += 7;
+        }
+        corruptErr(p >= end ? "varint runs past chunk payload"
+                            : "varint longer than 64 bits");
+    }
+};
 
 template <typename T>
 void
@@ -178,22 +200,21 @@ encodeInst(std::string &out, const TraceInst &i, Addr &prev_pc,
     prev_mem = i.memAddr;
 }
 
-TraceInst
-decodeInst(const char *&p, const char *end, Addr &prev_pc,
-           Addr &prev_mem)
+/** Decode the next record of @p r into @p i; corruptErr on a bad field. */
+void
+decodeInst(PayloadReader &r, Addr &prev_pc, Addr &prev_mem, TraceInst &i)
 {
-    if (end - p < 10)
+    if (r.end - r.p < 10)
         corruptErr("instruction record runs past chunk payload");
-    TraceInst i;
-    const std::uint8_t cls = static_cast<std::uint8_t>(*p++);
-    const std::uint8_t kind = static_cast<std::uint8_t>(*p++);
-    const std::uint8_t flags = static_cast<std::uint8_t>(*p++);
-    i.numSrcs = static_cast<std::uint8_t>(*p++);
+    const std::uint8_t cls = r.byte();
+    const std::uint8_t kind = r.byte();
+    const std::uint8_t flags = r.byte();
+    i.numSrcs = r.byte();
     for (unsigned k = 0; k < kMaxSrcs; ++k)
-        i.srcs[k] = static_cast<std::uint8_t>(*p++);
-    i.numDests = static_cast<std::uint8_t>(*p++);
-    i.destBase = static_cast<std::uint8_t>(*p++);
-    i.memSize = static_cast<std::uint8_t>(*p++);
+        i.srcs[k] = r.byte();
+    i.numDests = r.byte();
+    i.destBase = r.byte();
+    i.memSize = r.byte();
     // Same field ranges as the v1 loader: a flipped enum or width must
     // not feed out-of-range values into core lookup tables.
     if (cls > static_cast<std::uint8_t>(OpClass::Nop))
@@ -211,40 +232,44 @@ decodeInst(const char *&p, const char *end, Addr &prev_pc,
     i.cls = static_cast<OpClass>(cls);
     i.loadKind = static_cast<LoadKind>(kind);
     i.taken = (flags & 1) != 0;
-    i.pc = prev_pc + static_cast<Addr>(unzigzag(getVarint(p, end)));
-    i.memAddr =
-        prev_mem + static_cast<Addr>(unzigzag(getVarint(p, end)));
-    i.storeValue = getVarint(p, end);
-    i.destValue = getVarint(p, end);
+    i.pc = prev_pc + static_cast<Addr>(unzigzag(r.varint()));
+    i.memAddr = prev_mem + static_cast<Addr>(unzigzag(r.varint()));
+    i.storeValue = r.varint();
+    i.destValue = r.varint();
     i.branchTarget =
-        (flags & 2) ? i.pc + static_cast<Addr>(
-                                 unzigzag(getVarint(p, end)))
+        (flags & 2) ? i.pc + static_cast<Addr>(unzigzag(r.varint()))
                     : 0;
     prev_pc = i.pc;
     prev_mem = i.memAddr;
-    return i;
 }
 
 /**
- * Decode one chunk payload (post-header) into @p out, validating the
- * checksum first so a flipped payload byte is reported as such rather
- * than as whatever field it lands in.
+ * Decode one chunk payload (post-header) into @p out[0, count),
+ * checksumming it in the same pass (PayloadReader). Errors keep
+ * checksum-first precedence: a field error is held until the whole
+ * payload is hashed, so a flipped payload byte is reported as a
+ * checksum mismatch rather than as whatever field it lands in;
+ * trailing bytes are checked last.
  */
 void
 decodeChunkPayload(const char *data, std::uint32_t enc_len,
                    std::uint32_t count, std::uint64_t checksum,
-                   std::vector<TraceInst> &out)
+                   TraceInst *out)
 {
-    if (fnv1a(data, enc_len) != checksum)
-        corruptErr("chunk checksum mismatch");
-    const char *p = data;
-    const char *end = data + enc_len;
+    PayloadReader r{data, data + enc_len};
     Addr prev_pc = 0, prev_mem = 0;
-    out.clear();
-    out.reserve(count);
-    for (std::uint32_t k = 0; k < count; ++k)
-        out.push_back(decodeInst(p, end, prev_pc, prev_mem));
-    if (p != end)
+    try {
+        for (std::uint32_t k = 0; k < count; ++k)
+            decodeInst(r, prev_pc, prev_mem, out[k]);
+    } catch (const common::RunError &) {
+        if (fnv1a(kFnvBasis, data, enc_len) != checksum)
+            corruptErr("chunk checksum mismatch");
+        throw;
+    }
+    if (fnv1a(r.hash, r.p, static_cast<std::size_t>(r.end - r.p)) !=
+        checksum)
+        corruptErr("chunk checksum mismatch");
+    if (r.p != r.end)
         corruptErr("chunk payload has trailing bytes");
 }
 
@@ -359,7 +384,8 @@ ChunkedTraceWriter::flushChunk()
     put<std::uint32_t>(os_, count);
     put<std::uint32_t>(os_,
                        static_cast<std::uint32_t>(payload_.size()));
-    put<std::uint64_t>(os_, fnv1a(payload_.data(), payload_.size()));
+    put<std::uint64_t>(os_, fnv1a(kFnvBasis, payload_.data(),
+                                  payload_.size()));
     os_.write(payload_.data(),
               static_cast<std::streamsize>(payload_.size()));
     payload_.clear();
@@ -437,7 +463,6 @@ loadTraceV2OrThrow(Trace &trace, std::istream &is)
     trace.insts.clear();
     trace.insts.reserve(h.instCount);
     std::string payload;
-    std::vector<TraceInst> decoded;
     for (std::uint64_t ci = 0; ci < nchunks; ++ci) {
         std::uint32_t count = 0, enc_len = 0;
         std::uint64_t checksum = 0;
@@ -458,10 +483,10 @@ loadTraceV2OrThrow(Trace &trace, std::istream &is)
         is.read(payload.data(), enc_len);
         if (!is)
             corruptErr("truncated chunk payload");
+        const std::size_t at = trace.insts.size();
+        trace.insts.resize(at + count);
         decodeChunkPayload(payload.data(), enc_len, count, checksum,
-                           decoded);
-        trace.insts.insert(trace.insts.end(), decoded.begin(),
-                           decoded.end());
+                           trace.insts.data() + at);
     }
 
     // Validate the index footer too: a file truncated after its last
@@ -616,12 +641,13 @@ ChunkedTraceFile::chunk(std::uint64_t ci) const
         corruptErr("chunk instruction count mismatch");
     if (enc_len > std::uint64_t{count} * kMaxEncodedInst)
         corruptErr("chunk length implausible");
-    std::string payload(enc_len, '\0');
-    readAt(chunkOffsets_[ci] + kChunkHeaderBytes, payload.data(),
+    if (readBuf_.size() < enc_len)
+        readBuf_.resize(enc_len);
+    readAt(chunkOffsets_[ci] + kChunkHeaderBytes, readBuf_.data(),
            enc_len);
-    auto decoded = std::make_shared<std::vector<TraceInst>>();
-    decodeChunkPayload(payload.data(), enc_len, count, checksum,
-                       *decoded);
+    auto decoded = std::make_shared<std::vector<TraceInst>>(count);
+    decodeChunkPayload(readBuf_.data(), enc_len, count, checksum,
+                       decoded->data());
     cache_.insert(cache_.begin(), CacheEntry{ci, decoded});
     // The remaining sharers are concurrent sweep cells reading one
     // TraceStore-held streamed trace: cells that start together walk

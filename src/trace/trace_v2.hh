@@ -49,6 +49,14 @@
  * decode with the same ranges as the v1 loader; any violation —
  * including a checksum mismatch — raises RunError{io_corrupt}, never
  * a crash (fuzzed in tests/test_mega.cc).
+ *
+ * Every reader (ChunkedTraceFile::chunk, loadTraceV2OrThrow) checks
+ * and decodes a payload in one pass: each byte is folded into the
+ * FNV-1a checksum as the decoder consumes it. The error precedence is
+ * that of checking the checksum first: a field or varint error found
+ * mid-payload is held until the rest of the payload is hashed, a
+ * checksum mismatch is reported in preference to it, and trailing
+ * bytes after the last record are rejected last.
  */
 
 #ifndef DLVP_TRACE_TRACE_V2_HH
@@ -214,6 +222,8 @@ class ChunkedTraceFile
 
     mutable std::mutex mutex_;
     mutable std::unique_ptr<std::ifstream> file_;
+    /** Encoded payload of the chunk being decoded (under mutex_). */
+    mutable std::string readBuf_;
     struct CacheEntry
     {
         std::uint64_t ci = 0;

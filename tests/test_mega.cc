@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -19,6 +20,7 @@
 
 #include "common/fault_inject.hh"
 #include "common/run_error.hh"
+#include "core/core.hh"
 #include "sim/configs.hh"
 #include "sim/sampler.hh"
 #include "sim/simulator.hh"
@@ -128,6 +130,23 @@ TEST(TraceV2, StreamedRunMatchesMaterialized)
     EXPECT_LE(streamed.stream()->peakCachedChunks(), 6u);
 }
 
+TEST(TraceV2, StreamedTraceSavesAsV1)
+{
+    // trace-convert --to v1 from a v2 file saves the streamed trace.
+    const auto orig = WorkloadRegistry::build("gzip", 5000);
+    TempPath p("to_v1.dt2");
+    ASSERT_TRUE(saveTraceFileV2(orig, p.path, 1024));
+    Trace streamed;
+    loadTraceFileOrThrow(streamed, p.path);
+    ASSERT_TRUE(streamed.streamed());
+
+    std::stringstream v1buf;
+    ASSERT_TRUE(saveTrace(streamed, v1buf));
+    Trace fromV1;
+    ASSERT_TRUE(loadTrace(fromV1, v1buf));
+    expectSameInsts(fromV1, orig);
+}
+
 TEST(TraceV2, WriterRejectsCountMismatch)
 {
     const auto t = WorkloadRegistry::build("viterb", 1000);
@@ -220,6 +239,125 @@ TEST(TraceV2Fuzz, PayloadFlipReportsChecksumMismatch)
                   std::string::npos)
             << e.what();
     }
+}
+
+/**
+ * A pageless v2 serialization whose chunk 0 starts at a known offset,
+ * with accessors for that chunk's header and payload so a test can
+ * corrupt the payload and then restamp (or keep) its checksum.
+ */
+struct Chunk0
+{
+    Chunk0()
+    {
+        Trace pageless = WorkloadRegistry::build("viterb", 1000);
+        pageless.initialImage = MemoryImage();
+        std::stringstream buf;
+        EXPECT_TRUE(saveTraceV2(pageless, buf, 256));
+        bytes = buf.str();
+        header = 8 + 4 + 8 + 4 + pageless.name.size() + 4 +
+                 pageless.suite.size() + 8;
+    }
+
+    std::uint32_t
+    encLen() const
+    {
+        std::uint32_t n = 0;
+        std::memcpy(&n, bytes.data() + header + 4, sizeof(n));
+        return n;
+    }
+
+    std::size_t payload() const { return header + 16; }
+
+    /** FNV-1a 64, written out here independently of the reader. */
+    void
+    restampChecksum()
+    {
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (std::size_t i = 0; i < encLen(); ++i) {
+            h ^= static_cast<unsigned char>(bytes[payload() + i]);
+            h *= 0x100000001b3ULL;
+        }
+        std::memcpy(bytes.data() + header + 8, &h, sizeof(h));
+    }
+
+    /** The io_corrupt message the sequential loader reports. */
+    std::string
+    loadError() const
+    {
+        std::stringstream is(bytes);
+        Trace t;
+        try {
+            loadTraceOrThrow(t, is);
+        } catch (const common::RunError &e) {
+            EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
+            return e.what();
+        }
+        return "loaded";
+    }
+
+    std::string bytes;
+    std::size_t header = 0;
+};
+
+void
+expectError(const std::string &what, const char *expected)
+{
+    EXPECT_NE(what.find(expected), std::string::npos)
+        << "got: " << what << "\nexpected: " << expected;
+}
+
+TEST(TraceV2Fuzz, ChecksumMismatchOutranksFieldErrors)
+{
+    // Byte 0 of the payload is the first record's op class.
+    Chunk0 c;
+    c.bytes[c.payload()] = static_cast<char>(0xff);
+    expectError(c.loadError(), "chunk checksum mismatch");
+    c.restampChecksum();
+    expectError(c.loadError(), "instruction op class out of range");
+
+    // The same precedence holds on the random-access reader.
+    TempPath p("precedence.dt2");
+    Chunk0 s;
+    s.bytes[s.payload()] = static_cast<char>(0xff);
+    for (const bool restamp : {false, true}) {
+        if (restamp)
+            s.restampChecksum();
+        std::ofstream(p.path, std::ios::binary) << s.bytes;
+        const auto file = ChunkedTraceFile::open(p.path);
+        try {
+            file->chunk(0);
+            FAIL() << "corrupt chunk must not decode";
+        } catch (const common::RunError &e) {
+            expectError(e.what(),
+                        restamp ? "instruction op class out of range"
+                                : "chunk checksum mismatch");
+        }
+    }
+}
+
+TEST(TraceV2Fuzz, VarintOverrunIsReportedAfterTheChecksum)
+{
+    // The payload's last byte ends the last record's last varint;
+    // setting its continuation bit runs that varint off the end.
+    Chunk0 c;
+    c.bytes[c.payload() + c.encLen() - 1] |= static_cast<char>(0x80);
+    expectError(c.loadError(), "chunk checksum mismatch");
+    c.restampChecksum();
+    expectError(c.loadError(), "varint runs past chunk payload");
+}
+
+TEST(TraceV2Fuzz, TrailingPayloadBytesAreReportedAfterTheChecksum)
+{
+    // One extra byte after the last record, counted in encLen: every
+    // record still decodes, and the leftover byte is the error.
+    Chunk0 c;
+    const std::uint32_t grown = c.encLen() + 1;
+    std::memcpy(c.bytes.data() + c.header + 4, &grown, sizeof(grown));
+    c.bytes.insert(c.payload() + grown - 1, 1, '\0');
+    expectError(c.loadError(), "chunk checksum mismatch");
+    c.restampChecksum();
+    expectError(c.loadError(), "chunk payload has trailing bytes");
 }
 
 TEST(TraceV2Fuzz, FaultPlanCorruptsStreamingOpen)
@@ -409,6 +547,116 @@ TEST(Sampler, CpiErrorAgainstFullRunIsFinite)
     const double err = sim::cpiError(sampled, full);
     EXPECT_GE(err, 0.0);
     EXPECT_LT(err, 1.0) << "sampled CPI off by more than 100%";
+}
+
+/**
+ * The sampler's contract written out naively on a materialized trace:
+ * each interval's image is rebuilt from scratch by replaying every
+ * store in [0, start) over the initial image, and the interval runs
+ * on a plain copy of [start, start + count).
+ */
+sim::SampledRun
+referenceSampled(const Trace &t, const core::VpConfig &vp,
+                 const sim::SampleSpec &sample)
+{
+    sim::SampledRun out;
+    for (std::size_t start = 0; start < t.size();
+         start += sample.periodInsts) {
+        const std::size_t avail = t.size() - start;
+        if (avail <= sample.warmupInsts)
+            break;
+        const std::size_t count = std::min(
+            avail, sample.warmupInsts + sample.measureInsts);
+        Trace slice;
+        slice.initialImage = t.initialImage;
+        for (std::size_t i = 0; i < start; ++i) {
+            const TraceInst &inst = t.insts[i];
+            if (inst.cls == OpClass::Store || inst.cls == OpClass::Atomic)
+                slice.initialImage.write(inst.memAddr, inst.storeValue,
+                                         inst.memSize);
+        }
+        slice.insts.assign(t.insts.begin() + start,
+                           t.insts.begin() + start + count);
+        core::OoOCore core(sim::baselineCore(), vp, slice);
+        out.stats.accumulate(core.run(sample.warmupInsts));
+        ++out.intervals;
+    }
+    return out;
+}
+
+/**
+ * runSampled on a streamed v2 mega trace of @p total uops in
+ * @p chunk-uop chunks, and on the same trace materialized, must both
+ * equal the naive reference, for DLVP and for VTAGE over all
+ * instructions. @return the interval count.
+ *
+ * CoreStats barely see a stale interval image: DLVP's probe and the
+ * core read the same image, so both see the same stale value. Phase
+ * occurrences also relocate to fresh memory. With 20k-uop phases led
+ * by vpr, consecutive intervals share an occurrence, and vtage-all
+ * (trained on every loaded value) changes its stats when an interval
+ * image misses the previous window's stores.
+ */
+std::size_t
+expectSamplerMatchesReference(std::size_t total, std::uint32_t chunk)
+{
+    MegaSpec spec = smallMega();
+    spec.phases = {"vpr", "gzip"};
+    spec.totalInsts = total;
+    spec.phaseInsts = 20000;
+    spec.chunkInsts = chunk;
+    // Distinct per case: ctest runs the cases as parallel processes.
+    const std::string file = "sampler_ref_" + std::to_string(total) +
+                             "_" + std::to_string(chunk) + ".dt2";
+    TempPath p(file.c_str());
+    writeMegaV2(spec, p.path);
+    Trace streamed;
+    streamed.attachStream(ChunkedTraceFile::open(p.path));
+    Trace materialized = streamed;
+    materialized.materialize();
+
+    const auto sample = smallSample();
+    std::size_t intervals = 0;
+    for (const char *name : {"dlvp", "vtage-all"}) {
+        core::VpConfig vp;
+        EXPECT_TRUE(sim::configByName(name, vp));
+        const auto ref = referenceSampled(materialized, vp, sample);
+        for (const Trace *t : {&streamed, &materialized}) {
+            const auto run =
+                sim::runSampled(sim::baselineCore(), vp, *t, sample);
+            EXPECT_TRUE(run.stats == ref.stats)
+                << name << (t->streamed() ? " streamed" : " materialized");
+            EXPECT_EQ(run.intervals, ref.intervals);
+        }
+        intervals = ref.intervals;
+    }
+    return intervals;
+}
+
+// smallSample: period 10000, warmup 2000, warmup + measure 5000.
+
+TEST(Sampler, MatchesReferenceWithSubIntervalChunks)
+{
+    // Tail avail 2000 == warmup: no fourth interval. 1024-uop chunks
+    // put several chunk boundaries inside every interval.
+    EXPECT_EQ(expectSamplerMatchesReference(32000, 1024), 3u);
+}
+
+TEST(Sampler, MatchesReferenceWithShortMeasuredTail)
+{
+    // Tail avail 3500: warmup plus a truncated measured region.
+    EXPECT_EQ(expectSamplerMatchesReference(23500, 1024), 3u);
+}
+
+TEST(Sampler, MatchesReferenceWithOneChunkForTheWholeTrace)
+{
+    EXPECT_EQ(expectSamplerMatchesReference(31500, 65536), 3u);
+}
+
+TEST(Sampler, MatchesReferenceOnTraceShorterThanOnePeriod)
+{
+    EXPECT_EQ(expectSamplerMatchesReference(7000, 65536), 1u);
+    EXPECT_EQ(expectSamplerMatchesReference(4000, 1024), 1u);
 }
 
 /** Sampled sweep over the mega workload, parameterized by jobs. */

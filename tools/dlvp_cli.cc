@@ -619,7 +619,7 @@ cmdTraceConvert(const std::string &in, const std::string &out,
                 const Options &opt)
 {
     trace::Trace t;
-    trace::loadTraceFileOrThrow(t, in); // materializes either format
+    trace::loadTraceFileOrThrow(t, in); // v1 materializes, v2 streams
     const bool ok = opt.to == "v1"
                         ? trace::saveTraceFile(t, out)
                         : trace::saveTraceFileV2(t, out, opt.chunkInsts);
