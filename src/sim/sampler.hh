@@ -20,11 +20,23 @@
  * (trace::sliceAndAdvance), so the next fast-forward resumes at the
  * slice's end and every instruction is decoded exactly once.
  *
+ * Pipeline: the calling thread is the only trace walker. It hands
+ * each interval's slice to one of at most two workers, which run a
+ * fresh core over it while the walk goes on to the next interval. At
+ * most one interval per worker is in flight: the walker joins the
+ * oldest before it builds the next slice, so at most `workers` slices
+ * and cores are alive at once (and joins finished ones before each
+ * fast-forward, so their slices release their image pages). Results
+ * are joined in interval order. The first failure in interval order is
+ * the one thrown, as in a serial run; a walker error (a corrupt
+ * chunk) propagates only after the in-flight intervals have joined.
+ *
  * Determinism: interval boundaries are instruction indices derived
- * from (trace size, SampleSpec) alone — never wall time — and each
- * interval simulates a materialized slice seeded only by the spec, so
- * sampled CoreStats are bit-identical across job counts and
- * scheduling orders (ctest label `mega`).
+ * from (trace size, SampleSpec) alone — never wall time — each
+ * interval simulates a materialized slice seeded only by the spec,
+ * and the stats are summed in interval order, so sampled CoreStats
+ * are bit-identical across interval worker counts, sweep job counts
+ * and scheduling orders (ctest label `mega`).
  *
  * Streaming: slices materialize O(warmup + measure) instructions at a
  * time via Trace::slice, so sampling a v2-backed streamed trace
@@ -77,15 +89,21 @@ double cpiError(const SampledRun &sampled, const core::CoreStats &full);
 
 /**
  * Run @p vp over @p trace under interval sampling. Deterministic for
- * a given (trace, params, vp, sample); throws common::RunError for
- * invalid specs (period < warmup + measure, zero measure) and
- * propagates core RunErrors (deadlock, injected faults) to the caller
- * like Simulator::run does.
+ * a given (trace, params, vp, sample) and any @p jobs; throws
+ * common::RunError for invalid specs (period < warmup + measure, zero
+ * measure) and propagates core RunErrors (deadlock, injected faults)
+ * to the caller like Simulator::run does.
+ *
+ * @p jobs bounds the threads the run uses: the caller walks the trace
+ * and min(jobs - 1, 2) workers simulate intervals beside it; 1 runs
+ * every interval on the calling thread, 0 means
+ * ThreadPool::defaultJobs(). Callers that already run sampled cells
+ * in parallel (runSweep) pass 1.
  */
 SampledRun runSampled(const core::CoreParams &params,
                       const core::VpConfig &vp,
                       const trace::Trace &trace,
-                      const SampleSpec &sample);
+                      const SampleSpec &sample, unsigned jobs = 0);
 
 } // namespace dlvp::sim
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/run_error.hh"
 #include "sim/sweep.hh"
 #include "trace/workloads.hh"
 
@@ -75,7 +76,12 @@ Simulator::evict(const std::string &name)
 double
 speedup(const core::CoreStats &baseline, const core::CoreStats &other)
 {
-    dlvp_assert(other.cycles > 0);
+    // A 0-uop trace simulates 0 cycles: a caller's input, not a bug.
+    if (other.cycles == 0)
+        throw common::RunError(
+            common::ErrorKind::Internal,
+            "speedup is undefined: the compared run simulated 0 "
+            "cycles (empty trace?)");
     return static_cast<double>(baseline.cycles) /
            static_cast<double>(other.cycles);
 }

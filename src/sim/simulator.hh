@@ -107,7 +107,10 @@ class Simulator
     std::map<std::string, std::shared_ptr<const trace::Trace>> pinned_;
 };
 
-/** speedup = baseline_cycles / config_cycles. */
+/**
+ * speedup = baseline_cycles / config_cycles. Throws
+ * common::RunError{internal} when @p other simulated 0 cycles.
+ */
 double speedup(const core::CoreStats &baseline,
                const core::CoreStats &other);
 

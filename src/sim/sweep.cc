@@ -354,10 +354,11 @@ runSweep(const SweepSpec &spec)
                     // Sampled cell: detailed intervals + functional
                     // fast-forward; telemetry covers the sampled work
                     // only (the optional check run is validation
-                    // cost, not throughput).
+                    // cost, not throughput). One thread per cell: the
+                    // sweep's pool is the unit of parallelism.
                     const auto s0 = std::chrono::steady_clock::now();
-                    const SampledRun sr =
-                        runSampled(spec.core, vp, *tr, spec.sample);
+                    const SampledRun sr = runSampled(
+                        spec.core, vp, *tr, spec.sample, 1);
                     const std::chrono::duration<double, std::milli>
                         wall =
                             std::chrono::steady_clock::now() - s0;

@@ -105,6 +105,8 @@ struct TraceInst
     /** Bytes per destination register (loads) or store width (stores). */
     std::uint8_t memSize = 0;
 
+    bool taken = false;
+
     Addr memAddr = 0;
 
     /** Value a store writes (stores are single-register in this ISA). */
@@ -119,7 +121,6 @@ struct TraceInst
     std::uint64_t destValue = 0;
 
     Addr branchTarget = 0;
-    bool taken = false;
 
     /** Total bytes a load reads. */
     unsigned
@@ -136,6 +137,12 @@ struct TraceInst
     /** Sequentially next PC (fall-through). */
     Addr nextPc() const { return pc + kInstBytes; }
 };
+
+// The byte fields pack into the first word's tail, so a record is
+// four words after pc: every materialized trace, slice and decoded
+// chunk holds one per uop, and a sampled run keeps up to three slices
+// alive at once (sim/sampler.hh).
+static_assert(sizeof(TraceInst) == 56, "TraceInst grew past 56 bytes");
 
 } // namespace dlvp::trace
 

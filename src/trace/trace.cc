@@ -42,15 +42,16 @@ Trace::forEachSpan(
         fn(insts.data() + begin, end - begin);
         return;
     }
-    const std::uint32_t per = stream_->chunkInsts();
-    for (std::size_t i = begin; i < end;) {
-        const std::uint64_t ci = i / per;
-        const auto chunk = stream_->chunk(ci);
-        const std::size_t start = stream_->chunkStart(ci);
-        const std::size_t stop = std::min(end, start + chunk->size());
-        fn(chunk->data() + (i - start), stop - i);
-        i = stop;
-    }
+    const ChunkedTraceFile &file = *stream_;
+    const std::uint32_t per = file.chunkInsts();
+    file.scan(begin / per, (end - 1) / per,
+              [&](std::uint64_t ci, const TraceInst *first,
+                  std::size_t n) {
+                  const std::size_t start = file.chunkStart(ci);
+                  const std::size_t lo = std::max(begin, start);
+                  const std::size_t hi = std::min(end, start + n);
+                  fn(first + (lo - start), hi - lo);
+              });
 }
 
 Trace

@@ -102,7 +102,9 @@ class Trace
      * Visit instructions [begin, end) as contiguous runs: @p fn gets
      * (first, n) once per decoded chunk of a streamed trace, or once
      * for a materialized one, so bulk consumers pay one call per run
-     * instead of one per instruction. @p end is clamped to size().
+     * instead of one per instruction. A streamed run is valid only
+     * during the call (ChunkedTraceFile::scan reuses its buffer).
+     * @p end is clamped to size().
      */
     void forEachSpan(
         std::size_t begin, std::size_t end,

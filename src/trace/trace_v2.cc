@@ -612,11 +612,8 @@ ChunkedTraceFile::readAt(std::uint64_t offset, char *out,
 }
 
 ChunkedTraceFile::ChunkPtr
-ChunkedTraceFile::chunk(std::uint64_t ci) const
+ChunkedTraceFile::cachedLocked(std::uint64_t ci) const
 {
-    if (ci >= chunkOffsets_.size())
-        corruptErr("chunk index out of range");
-    std::lock_guard<std::mutex> lk(mutex_);
     for (std::size_t k = 0; k < cache_.size(); ++k) {
         if (cache_[k].ci == ci) {
             // Move to front (MRU).
@@ -626,6 +623,13 @@ ChunkedTraceFile::chunk(std::uint64_t ci) const
             return cache_.front().data;
         }
     }
+    return nullptr;
+}
+
+void
+ChunkedTraceFile::decodeLocked(std::uint64_t ci,
+                               std::vector<TraceInst> &out) const
+{
     char header[kChunkHeaderBytes];
     readAt(chunkOffsets_[ci], header, sizeof(header));
     const std::uint32_t count = loadScalar<std::uint32_t>(header);
@@ -645,9 +649,29 @@ ChunkedTraceFile::chunk(std::uint64_t ci) const
         readBuf_.resize(enc_len);
     readAt(chunkOffsets_[ci] + kChunkHeaderBytes, readBuf_.data(),
            enc_len);
-    auto decoded = std::make_shared<std::vector<TraceInst>>(count);
+    out.resize(count);
     decodeChunkPayload(readBuf_.data(), enc_len, count, checksum,
-                       decoded->data());
+                       out.data());
+}
+
+void
+ChunkedTraceFile::notePeakLocked() const
+{
+    const bool slotInUse = scanLeased_ || scanCi_ != kNoChunk;
+    peakCached_ = std::max(peakCached_,
+                           cache_.size() + (slotInUse ? 1 : 0));
+}
+
+ChunkedTraceFile::ChunkPtr
+ChunkedTraceFile::chunk(std::uint64_t ci) const
+{
+    if (ci >= chunkOffsets_.size())
+        corruptErr("chunk index out of range");
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (ChunkPtr hit = cachedLocked(ci))
+        return hit;
+    auto decoded = std::make_shared<std::vector<TraceInst>>();
+    decodeLocked(ci, *decoded);
     cache_.insert(cache_.begin(), CacheEntry{ci, decoded});
     // The remaining sharers are concurrent sweep cells reading one
     // TraceStore-held streamed trace: cells that start together walk
@@ -657,8 +681,69 @@ ChunkedTraceFile::chunk(std::uint64_t ci) const
     constexpr std::size_t kMaxCached = 4;
     if (cache_.size() > kMaxCached)
         cache_.resize(kMaxCached);
-    peakCached_ = std::max(peakCached_, cache_.size());
+    notePeakLocked();
     return decoded;
+}
+
+void
+ChunkedTraceFile::scan(std::uint64_t first, std::uint64_t last,
+                       const ScanFn &fn) const
+{
+    if (last >= chunkOffsets_.size() || first > last)
+        corruptErr("chunk index out of range");
+    // Lease the scan slot: its buffer becomes this scan's decode
+    // target, and its chunk (the last one the previous scan decoded)
+    // is served as is. A scan that finds the slot leased by a
+    // concurrent scan decodes into a buffer of its own.
+    std::vector<TraceInst> buf;
+    std::uint64_t bufCi = kNoChunk;
+    bool leased = false;
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        if (!scanLeased_) {
+            scanLeased_ = leased = true;
+            buf.swap(scanBuf_);
+            std::swap(bufCi, scanCi_);
+        }
+    }
+    // Return the slot on every exit, holding the last chunk decoded
+    // into it: an advanceImage that ends mid-chunk hands that chunk to
+    // the slice that starts there.
+    const auto giveBack = [&] {
+        if (!leased)
+            return;
+        std::lock_guard<std::mutex> lk(mutex_);
+        scanBuf_.swap(buf);
+        scanCi_ = bufCi;
+        scanLeased_ = false;
+    };
+    try {
+        for (std::uint64_t ci = first; ci <= last; ++ci) {
+            if (ci == bufCi) {
+                fn(ci, buf.data(), buf.size());
+                continue;
+            }
+            ChunkPtr hit;
+            {
+                std::lock_guard<std::mutex> lk(mutex_);
+                hit = cachedLocked(ci);
+                if (!hit) {
+                    bufCi = kNoChunk; // buf is garbage if decode throws
+                    decodeLocked(ci, buf);
+                    bufCi = ci;
+                    notePeakLocked();
+                }
+            }
+            if (hit)
+                fn(ci, hit->data(), hit->size());
+            else
+                fn(ci, buf.data(), buf.size());
+        }
+    } catch (...) {
+        giveBack();
+        throw;
+    }
+    giveBack();
 }
 
 // ---------------------------------------------------------------------

@@ -57,12 +57,20 @@
  * mid-payload is held until the rest of the payload is hashed, a
  * checksum mismatch is reported in preference to it, and trailing
  * bytes after the last record are rejected last.
+ *
+ * ChunkedTraceFile serves two kinds of reader. TraceCursors share a
+ * small cache of decoded chunks; sequential scans (Trace::forEachSpan)
+ * decode into one reused scan slot and never fill that cache. Both
+ * serve the same decoded records, so which one a run used never shows
+ * in its results: sampled CoreStats are bit-identical across interval
+ * worker counts (sim/sampler.hh), where only the walking thread scans.
  */
 
 #ifndef DLVP_TRACE_TRACE_V2_HH
 #define DLVP_TRACE_TRACE_V2_HH
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -186,13 +194,32 @@ class ChunkedTraceFile
      */
     ChunkPtr chunk(std::uint64_t ci) const;
 
+    using ScanFn = std::function<void(
+        std::uint64_t ci, const TraceInst *first, std::size_t n)>;
+
+    /**
+     * Visit chunks [@p first, @p last] in order: the sequential scans
+     * behind Trace::forEachSpan. A scan never fills the shared cache.
+     * A chunk a cursor already cached is served from there; any other
+     * is decoded (checksum included) into one reused buffer, the
+     * file's scan slot. The slot keeps the last chunk a scan decoded,
+     * so a scan that starts where the previous one stopped does not
+     * decode that chunk again. @p fn's span is valid only during the
+     * call. Throws RunError{io_corrupt} on corruption.
+     */
+    void scan(std::uint64_t first, std::uint64_t last,
+              const ScanFn &fn) const;
+
     /** Total encoded payload bytes across all chunks (trace-info). */
     std::uint64_t encodedBytes() const { return encodedBytes_; }
 
     /** File size in bytes (trace-info). */
     std::uint64_t fileBytes() const { return fileBytes_; }
 
-    /** High-water mark of simultaneously cached decoded chunks. */
+    /**
+     * High-water mark of simultaneously cached decoded chunks: the
+     * cursors' shared cache plus the scan slot.
+     */
     std::size_t
     peakCachedChunks() const
     {
@@ -206,6 +233,12 @@ class ChunkedTraceFile
     /** Read @p len bytes at absolute @p offset; corruptErr if short. */
     void readAt(std::uint64_t offset, char *out,
                 std::uint64_t len) const;
+    /** Cached chunk @p ci promoted to MRU, or null (under mutex_). */
+    ChunkPtr cachedLocked(std::uint64_t ci) const;
+    /** Read, check and decode chunk @p ci into @p out (under mutex_). */
+    void decodeLocked(std::uint64_t ci,
+                      std::vector<TraceInst> &out) const;
+    void notePeakLocked() const;
 
     std::string path_;
     std::string name_;
@@ -229,9 +262,15 @@ class ChunkedTraceFile
         std::uint64_t ci = 0;
         ChunkPtr data;
     };
-    /** Small MRU cache; entry 0 is most recent. */
+    /** Small MRU cache of cursor chunks; entry 0 is most recent. */
     mutable std::vector<CacheEntry> cache_;
     mutable std::size_t peakCached_ = 0;
+
+    static constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
+    /** The scan slot (under mutex_; see scan()). */
+    mutable std::vector<TraceInst> scanBuf_;
+    mutable std::uint64_t scanCi_ = kNoChunk;
+    mutable bool scanLeased_ = false;
 };
 
 /**

@@ -12,11 +12,15 @@
 
 #include <cstdio>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
+
+#include <sys/wait.h>
 
 #include "common/fault_inject.hh"
 #include "common/run_error.hh"
@@ -118,6 +122,9 @@ TEST(TraceV2, StreamedRunMatchesMaterialized)
     ASSERT_TRUE(streamed.streamed());
     ASSERT_EQ(streamed.size(), orig.size());
     EXPECT_EQ(streamed.verifyReplay(), streamed.size());
+    // A full scan decodes into the one scan slot, never the shared
+    // cache the cursors use.
+    EXPECT_LE(streamed.stream()->peakCachedChunks(), 1u);
 
     sim::Simulator s(sim::baselineCore(), orig.size());
     const auto a = s.run(orig, sim::dlvpConfig());
@@ -585,10 +592,17 @@ referenceSampled(const Trace &t, const core::VpConfig &vp,
 }
 
 /**
+ * runSampled's thread budgets under test: the calling thread alone,
+ * then one, two and (capped) two interval workers.
+ */
+constexpr unsigned kSamplerJobs[] = {1, 2, 3, 8};
+
+/**
  * runSampled on a streamed v2 mega trace of @p total uops in
  * @p chunk-uop chunks, and on the same trace materialized, must both
  * equal the naive reference, for DLVP and for VTAGE over all
- * instructions. @return the interval count.
+ * instructions, under every thread budget in kSamplerJobs. @return
+ * the interval count.
  *
  * CoreStats barely see a stale interval image: DLVP's probe and the
  * core read the same image, so both see the same stale value. Phase
@@ -622,11 +636,15 @@ expectSamplerMatchesReference(std::size_t total, std::uint32_t chunk)
         EXPECT_TRUE(sim::configByName(name, vp));
         const auto ref = referenceSampled(materialized, vp, sample);
         for (const Trace *t : {&streamed, &materialized}) {
-            const auto run =
-                sim::runSampled(sim::baselineCore(), vp, *t, sample);
-            EXPECT_TRUE(run.stats == ref.stats)
-                << name << (t->streamed() ? " streamed" : " materialized");
-            EXPECT_EQ(run.intervals, ref.intervals);
+            for (const unsigned jobs : kSamplerJobs) {
+                const auto run = sim::runSampled(sim::baselineCore(), vp,
+                                                 *t, sample, jobs);
+                EXPECT_TRUE(run.stats == ref.stats)
+                    << name
+                    << (t->streamed() ? " streamed" : " materialized")
+                    << " jobs=" << jobs;
+                EXPECT_EQ(run.intervals, ref.intervals) << jobs;
+            }
         }
         intervals = ref.intervals;
     }
@@ -657,6 +675,122 @@ TEST(Sampler, MatchesReferenceOnTraceShorterThanOnePeriod)
 {
     EXPECT_EQ(expectSamplerMatchesReference(7000, 65536), 1u);
     EXPECT_EQ(expectSamplerMatchesReference(4000, 1024), 1u);
+}
+
+/** describe() of the RunError @p fn throws ("no error" if none). */
+template <typename F>
+std::string
+runErrorOf(F &&fn)
+{
+    try {
+        fn();
+    } catch (const common::RunError &e) {
+        return e.describe();
+    }
+    return "no error";
+}
+
+TEST(Sampler, CorruptChunkMidRunIsAStructuredError)
+{
+    MegaSpec spec = smallMega();
+    spec.chunkInsts = 1024;
+    TempPath p("corrupt_mid_run.dt2");
+    writeMegaV2(spec, p.path);
+    std::string bytes;
+    {
+        std::ifstream is(p.path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+    }
+    // Footer: u64 chunkOffset[n] | u64 indexOffset | "DLVPIDX2".
+    std::uint64_t indexOffset = 0;
+    std::memcpy(&indexOffset, bytes.data() + bytes.size() - 16, 8);
+    ASSERT_EQ((bytes.size() - 16 - indexOffset) / 8, 59u);
+    // Chunk 37 (uops 37888..38911) lies in the fast-forward to the
+    // fifth interval (start 40000), which the walker runs while the
+    // third and fourth are in flight.
+    std::uint64_t chunk37 = 0;
+    std::memcpy(&chunk37, bytes.data() + indexOffset + 8 * 37, 8);
+    bytes[chunk37 + 16 + 5] ^= 0x10; // inside the payload
+    std::ofstream(p.path, std::ios::binary | std::ios::trunc) << bytes;
+
+    Trace t;
+    t.attachStream(ChunkedTraceFile::open(p.path));
+    const auto sample = smallSample();
+    // With the default no-commit horizon every interval succeeds and
+    // the walker's io_corrupt is the error. At 290 cycles the third
+    // interval deadlocks (see IntervalFailureMatchesSerial); a serial
+    // run throws that before it reaches the chunk, so it must win.
+    for (const std::uint64_t limit : {0u, 290u}) {
+        core::CoreParams params = sim::baselineCore();
+        if (limit != 0)
+            params.maxNoCommitCycles = limit;
+        const char *kind = limit == 0 ? "io_corrupt" : "sim_deadlock";
+        std::string serial;
+        for (const unsigned jobs : kSamplerJobs) {
+            const std::string err = runErrorOf([&] {
+                sim::runSampled(params, sim::dlvpConfig(), t, sample,
+                                jobs);
+            });
+            EXPECT_NE(err.find(kind), std::string::npos)
+                << "limit=" << limit << " jobs=" << jobs << ": " << err;
+            if (jobs == 1)
+                serial = err;
+            EXPECT_EQ(err, serial)
+                << "limit=" << limit << " jobs=" << jobs;
+        }
+    }
+}
+
+TEST(Sampler, IntervalFailureMatchesSerial)
+{
+    const Trace t = buildMega(smallMega());
+    const auto sample = smallSample();
+    // No-commit horizons just under the cold-start miss: at 260 all
+    // six intervals deadlock, each with its own window size in the
+    // message, so only the first interval's error matches serial; at
+    // 290 only the third does, while its neighbours are in flight.
+    for (const std::uint64_t limit : {260u, 290u}) {
+        core::CoreParams params = sim::baselineCore();
+        params.maxNoCommitCycles = limit;
+        std::string serial;
+        for (const unsigned jobs : kSamplerJobs) {
+            const std::string err = runErrorOf([&] {
+                sim::runSampled(params, sim::dlvpConfig(), t, sample,
+                                jobs);
+            });
+            EXPECT_NE(err.find("sim_deadlock"), std::string::npos)
+                << "limit=" << limit << " jobs=" << jobs << ": " << err;
+            if (jobs == 1)
+                serial = err;
+            EXPECT_EQ(err, serial)
+                << "limit=" << limit << " jobs=" << jobs;
+        }
+    }
+}
+
+TEST(Cli, ZeroUopTraceIsAStructuredError)
+{
+    TempPath trace("zero_uops.dt2");
+    TempPath err("zero_uops.err");
+    Trace empty;
+    empty.name = "empty";
+    ASSERT_TRUE(saveTraceFileV2(empty, trace.path));
+    const std::string cli = DLVP_CLI_BIN;
+    for (const std::string &args :
+         {"runfile " + trace.path, "runfile " + trace.path + " --sample",
+          std::string("run mcf --insts 0"),
+          std::string("run mcf --insts 0 --sample")}) {
+        const std::string cmd =
+            cli + " " + args + " >/dev/null 2>" + err.path;
+        const int status = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << args;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << args;
+        std::ifstream is(err.path);
+        const std::string msg((std::istreambuf_iterator<char>(is)),
+                              std::istreambuf_iterator<char>());
+        expectError(msg, "internal: speedup is undefined");
+    }
 }
 
 /** Sampled sweep over the mega workload, parameterized by jobs. */

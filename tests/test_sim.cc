@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "common/run_error.hh"
 #include "sim/addr_pred_driver.hh"
 #include "sim/configs.hh"
 #include "sim/report.hh"
@@ -111,6 +112,8 @@ TEST(Simulator, SpeedupDefinition)
     base.cycles = 1000;
     other.cycles = 800;
     EXPECT_DOUBLE_EQ(speedup(base, other), 1.25);
+    // A 0-uop run is a caller's input, reported as a RunError.
+    EXPECT_THROW(speedup(base, core::CoreStats{}), common::RunError);
 }
 
 // ---- Figure 4 machinery: standalone address prediction ----

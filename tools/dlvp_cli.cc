@@ -19,7 +19,9 @@
  *   dlvp_cli serve-request <socket> --ping|--stats|--shutdown
  *
  * Parallelism: --jobs (or the DLVP_JOBS env var) sets the worker
- * count; output is bit-identical for any value (see sim/sweep.hh).
+ * count of sweep/suite and the thread budget of run/runfile --sample
+ * (the trace walker plus up to two interval workers); output is
+ * bit-identical for any value (see sim/sweep.hh, sim/sampler.hh).
  *
  * Sampling: --sample switches run/runfile/sweep/suite to the interval
  * sampler (sim/sampler.hh); --sample-check additionally runs the full
@@ -269,9 +271,9 @@ runSampledPair(const trace::Trace &t, const core::VpConfig &vp,
                const Options &opt)
 {
     const auto params = sim::baselineCore();
-    const auto base =
-        sim::runSampled(params, sim::baselineVp(), t, opt.sample);
-    const auto s = sim::runSampled(params, vp, t, opt.sample);
+    const auto base = sim::runSampled(params, sim::baselineVp(), t,
+                                      opt.sample, opt.jobs);
+    const auto s = sim::runSampled(params, vp, t, opt.sample, opt.jobs);
     std::printf("sampled: %zu intervals, %llu of %zu uops measured\n",
                 base.intervals,
                 static_cast<unsigned long long>(base.sampledInsts()),
