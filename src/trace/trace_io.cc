@@ -175,7 +175,7 @@ loadTraceOrThrow(Trace &trace, std::istream &is)
     is.read(magic, sizeof(magic));
     if (!is || std::memcmp(magic, kMagic, sizeof(kMagic) - 1) != 0)
         corruptErr("bad magic (not a dlvp trace file)");
-    if (magic[7] == '2') {
+    if (isChunkedTraceMagic(magic)) {
         // dlvp-trace-v2: chunked format; materialize sequentially
         // (loadTraceV2OrThrow re-reads the magic itself).
         is.seekg(-static_cast<std::streamoff>(sizeof(magic)),
@@ -244,26 +244,20 @@ loadTrace(Trace &trace, std::istream &is)
 void
 loadTraceFileOrThrow(Trace &trace, const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw common::RunError(common::ErrorKind::IoCorrupt,
-                               "cannot open trace file '" + path +
-                                   "'");
     // v2 files attach a streaming backing instead of materializing:
     // the core reads decoded chunks on demand (O(chunk) resident).
     // ChunkedTraceFile::open applies the FaultPlan itself; chunk
     // corruption (checksum, field ranges) surfaces lazily as
     // RunError{io_corrupt} at first decode of the bad chunk.
-    char magic[8];
-    is.read(magic, sizeof(magic));
-    if (is && std::memcmp(magic, kMagic, sizeof(kMagic) - 1) == 0 &&
-        magic[7] == '2') {
-        is.close();
+    if (isChunkedTraceFile(path)) {
         trace.attachStream(ChunkedTraceFile::open(path));
         return;
     }
-    is.clear();
-    is.seekg(0);
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        throw common::RunError(common::ErrorKind::IoCorrupt,
+                               "cannot open trace file '" + path +
+                                   "'");
     const common::FaultPlan &plan = common::FaultPlan::global();
     if (plan.empty()) {
         loadTraceOrThrow(trace, is);

@@ -13,7 +13,9 @@
  *
  * Layout (little-endian):
  *
- *   magic  "DLVPTRC2"                      (byte 7 is the version)
+ *   magic  "DLVPTRC3"                      byte 7 is the on-disk
+ *                                          version, 3
+ *                                          (kChunkedTraceVersion)
  *   u32    chunkInsts                      instructions per chunk
  *   u64    instCount                       declared total (writer
  *                                          knows it up front, so
@@ -28,13 +30,18 @@
  *   u64    indexOffset                     offset of chunkOffset[0]
  *   tail   "DLVPIDX2"
  *
+ * The format keeps its dlvp-trace-v2 name (and the *V2 API) across
+ * on-disk versions. Version 2 differed only in its chunk checksum,
+ * byte-serial FNV-1a 64; it is retired, and a version-2 file is
+ * rejected with RunError{io_corrupt} saying it must be regenerated.
+ *
  * Each chunk is
  *
  *   u32 count | u32 encLen | u64 checksum | encLen payload bytes
  *
  * where count == chunkInsts for every chunk but the last, checksum is
- * FNV-1a 64 over the payload, and the payload encodes `count`
- * instructions as:
+ * the chunk checksum below over the payload, and the payload encodes
+ * `count` instructions as:
  *
  *   u8 cls | u8 loadKind | u8 flags(bit0 taken, bit1 branchTarget!=0)
  *   u8 numSrcs | u8 srcs[3] | u8 numDests | u8 destBase | u8 memSize
@@ -50,13 +57,27 @@
  * including a checksum mismatch — raises RunError{io_corrupt}, never
  * a crash (fuzzed in tests/test_mega.cc).
  *
- * Every reader (ChunkedTraceFile::chunk, loadTraceV2OrThrow) checks
- * and decodes a payload in one pass: each byte is folded into the
- * FNV-1a checksum as the decoder consumes it. The error precedence is
- * that of checking the checksum first: a field or varint error found
- * mid-payload is held until the rest of the payload is hashed, a
- * checksum mismatch is reported in preference to it, and trailing
- * bytes after the last record are rejected last.
+ * The chunk checksum reads the payload as little-endian u64 words
+ * w[i], all arithmetic mod 2^64, with XXH64's odd primes P1..P5 and
+ * round(a, w) = rotl(a + w * P2, 31) * P1:
+ *
+ *   lanes v0..v3 = P1 + P2, P2, 0, -P1
+ *   each full 32-byte stripe s:  vk = round(vk, w[4s + k]), k = 0..3
+ *   h = rotl(v0, 1) + rotl(v1, 7) + rotl(v2, 12) + rotl(v3, 18) + encLen
+ *   each remaining full word w:  h = rotl(h ^ round(0, w), 27) * P1 + P4
+ *   each remaining byte b:       h = rotl(h ^ (b * P5), 11) * P1
+ *   h ^= h >> 33; h *= P2; h ^= h >> 29; h *= P3; h ^= h >> 32
+ *
+ * For a fixed input every step is a bijection of the running state,
+ * and each word or tail byte enters a step that is a bijection (an
+ * injection, for bytes) of that input, so a change confined to one
+ * word or one tail byte is always detected: the per-byte guarantee
+ * FNV-1a gave, at a word per step in four independent chains.
+ *
+ * Every reader (ChunkedTraceFile::chunk and ::scan, loadTraceV2OrThrow)
+ * verifies a payload's checksum before decoding it, so the error
+ * precedence is by construction: a checksum mismatch first, then a
+ * field or varint error, then trailing bytes after the last record.
  *
  * ChunkedTraceFile serves two kinds of reader. TraceCursors share a
  * small cache of decoded chunks; sequential scans (Trace::forEachSpan)
@@ -84,6 +105,20 @@ namespace dlvp::trace
 {
 
 class Trace;
+
+/** On-disk version of the chunked format: byte 7 of its magic. */
+inline constexpr char kChunkedTraceVersion = '3';
+
+/**
+ * True when @p magic, a file's first 8 bytes, marks a chunked trace:
+ * the current version, or the retired version 2, which the chunked
+ * readers reject with RunError{io_corrupt} saying it must be
+ * regenerated. Every reader that picks a loader by magic asks this.
+ */
+bool isChunkedTraceMagic(const char *magic);
+
+/** isChunkedTraceMagic on the first 8 bytes of the file at @p path. */
+bool isChunkedTraceFile(const std::string &path);
 
 /** Default instructions per v2 chunk (~16k insts, ~200-400 KB raw). */
 inline constexpr std::uint32_t kDefaultChunkInsts = 16384;

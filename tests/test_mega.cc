@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <cstdlib>
@@ -70,6 +71,64 @@ expectSameInsts(const Trace &a, const Trace &b)
         if (::testing::Test::HasFailure())
             break;
     }
+}
+
+void
+expectError(const std::string &what, const char *expected)
+{
+    EXPECT_NE(what.find(expected), std::string::npos)
+        << "got: " << what << "\nexpected: " << expected;
+}
+
+/**
+ * The chunk checksum, written out here from trace_v2.hh's format
+ * comment, independently of the reader: words are assembled from bytes
+ * by shifts, rotations by hand.
+ */
+std::uint64_t
+specChecksum(const char *data, std::size_t len)
+{
+    constexpr std::uint64_t P1 = 0x9E3779B185EBCA87ULL;
+    constexpr std::uint64_t P2 = 0xC2B2AE3D27D4EB4FULL;
+    constexpr std::uint64_t P3 = 0x165667B19E3779F9ULL;
+    constexpr std::uint64_t P4 = 0x85EBCA77C2B2AE63ULL;
+    constexpr std::uint64_t P5 = 0x27D4EB2F165667C5ULL;
+    const auto rotl = [](std::uint64_t x, unsigned r) {
+        return (x << r) | (x >> (64 - r));
+    };
+    const auto word = [data](std::size_t at) {
+        std::uint64_t w = 0;
+        for (unsigned b = 0; b < 8; ++b)
+            w |= std::uint64_t{static_cast<unsigned char>(data[at + b])}
+                 << (8 * b);
+        return w;
+    };
+    const auto round = [&](std::uint64_t a, std::uint64_t w) {
+        return rotl(a + w * P2, 31) * P1;
+    };
+    std::uint64_t v[4] = {P1 + P2, P2, 0, ~P1 + 1};
+    std::size_t at = 0;
+    for (; at + 32 <= len; at += 32)
+        for (unsigned k = 0; k < 4; ++k)
+            v[k] = round(v[k], word(at + 8 * k));
+    std::uint64_t h =
+        rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18);
+    h += len;
+    for (; at + 8 <= len; at += 8)
+        h = rotl(h ^ round(0, word(at)), 27) * P1 + P4;
+    for (; at < len; ++at)
+        h = rotl(h ^ (static_cast<unsigned char>(data[at]) * P5), 11) *
+            P1;
+    h = (h ^ (h >> 33)) * P2;
+    h = (h ^ (h >> 29)) * P3;
+    return h ^ (h >> 32);
+}
+
+/** Offset of chunk 0 in a pageless v2 serialization of @p t. */
+std::size_t
+firstChunkOffset(const Trace &t)
+{
+    return 8 + 4 + 8 + 4 + t.name.size() + 4 + t.suite.size() + 8;
 }
 
 // ---------------------------------------------------------------------
@@ -163,6 +222,176 @@ TEST(TraceV2, WriterRejectsCountMismatch)
     for (std::size_t i = 0; i < t.size(); ++i)
         w.add(t[i]);
     EXPECT_FALSE(w.finish()) << "declared count not reached";
+}
+
+/** Reference varint encoder: one push_back per byte. */
+void
+refVarint(std::string &out, std::uint64_t v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    out.push_back(static_cast<char>(v));
+}
+
+std::uint64_t
+refZigzag(std::uint64_t delta)
+{
+    const auto v = static_cast<std::int64_t>(delta);
+    return (static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63);
+}
+
+/** Reference record encoder, from trace_v2.hh's payload layout. */
+void
+refEncode(std::string &out, const TraceInst &i, Addr &prevPc,
+          Addr &prevMem)
+{
+    out.push_back(static_cast<char>(i.cls));
+    out.push_back(static_cast<char>(i.loadKind));
+    out.push_back(static_cast<char>((i.taken ? 1 : 0) |
+                                    (i.branchTarget != 0 ? 2 : 0)));
+    out.push_back(static_cast<char>(i.numSrcs));
+    for (const std::uint8_t src : i.srcs)
+        out.push_back(static_cast<char>(src));
+    out.push_back(static_cast<char>(i.numDests));
+    out.push_back(static_cast<char>(i.destBase));
+    out.push_back(static_cast<char>(i.memSize));
+    refVarint(out, refZigzag(i.pc - prevPc));
+    refVarint(out, refZigzag(i.memAddr - prevMem));
+    refVarint(out, i.storeValue);
+    refVarint(out, i.destValue);
+    if (i.branchTarget != 0)
+        refVarint(out, refZigzag(i.branchTarget - i.pc));
+    prevPc = i.pc;
+    prevMem = i.memAddr;
+}
+
+/** A record whose five varints all take 10 bytes after @p prev. */
+TraceInst
+worstCaseInst(const TraceInst &prev)
+{
+    constexpr Addr kHalf = Addr{1} << 63;
+    TraceInst i;
+    i.cls = OpClass::CondBranch;
+    i.numSrcs = 3;
+    i.srcs[0] = i.srcs[1] = i.srcs[2] = 0xff;
+    i.numDests = 16;
+    i.destBase = 0xff;
+    i.memSize = 64;
+    i.taken = true;
+    i.pc = prev.pc + kHalf;         // zigzag(INT64_MIN) = 2^64 - 1
+    i.memAddr = prev.memAddr + kHalf;
+    i.storeValue = ~std::uint64_t{0};
+    i.destValue = ~std::uint64_t{0};
+    i.branchTarget = i.pc + (Addr{1} << 62); // zigzag = 2^63
+    return i;
+}
+
+TEST(TraceV2, EncoderMatchesReferenceEncoding)
+{
+    // A real trace with worst-case records at chunk starts, mid-chunk
+    // and at the end.
+    const Trace src = WorkloadRegistry::build("crafty", 3000);
+    Trace t;
+    t.name = src.name;
+    t.suite = src.suite;
+    for (std::size_t k = 0; k < src.size(); ++k) {
+        if (k % 97 == 0 || k % 256 == 0)
+            t.insts.push_back(worstCaseInst(
+                t.insts.empty() ? TraceInst{} : t.insts.back()));
+        t.insts.push_back(src[k]);
+    }
+    t.insts.push_back(worstCaseInst(t.insts.back()));
+    constexpr std::uint32_t kChunk = 256;
+    std::stringstream buf;
+    ASSERT_TRUE(saveTraceV2(t, buf, kChunk));
+    const std::string bytes = buf.str();
+
+    std::size_t at = firstChunkOffset(t);
+    std::size_t worst = 0;
+    for (std::size_t first = 0; first < t.size(); first += kChunk) {
+        std::uint32_t count = 0, encLen = 0;
+        std::uint64_t checksum = 0;
+        ASSERT_LE(at + 16, bytes.size());
+        std::memcpy(&count, bytes.data() + at, 4);
+        std::memcpy(&encLen, bytes.data() + at + 4, 4);
+        std::memcpy(&checksum, bytes.data() + at + 8, 8);
+        ASSERT_EQ(count, std::min<std::size_t>(kChunk, t.size() - first));
+        std::string ref;
+        Addr prevPc = 0, prevMem = 0;
+        for (std::size_t k = first; k < first + count; ++k) {
+            const std::size_t before = ref.size();
+            refEncode(ref, t[k], prevPc, prevMem);
+            if (ref.size() - before == 10 + 5 * 10)
+                ++worst;
+        }
+        ASSERT_EQ(encLen, ref.size()) << "chunk at " << first;
+        EXPECT_EQ(bytes.compare(at + 16, encLen, ref), 0)
+            << "chunk at " << first;
+        EXPECT_EQ(checksum, specChecksum(ref.data(), ref.size()))
+            << "chunk at " << first;
+        at += 16 + encLen;
+    }
+    EXPECT_GE(worst, 30u) << "worst-case records not exercised";
+
+    // And the reader decodes every record back.
+    std::stringstream is(bytes);
+    Trace back;
+    loadTraceOrThrow(back, is);
+    expectSameInsts(back, t);
+}
+
+TEST(TraceV2, RetiredChecksumVersionIsRejected)
+{
+    const auto orig = WorkloadRegistry::build("gzip", 3000);
+    TempPath p("retired.dt2");
+    TempPath err("retired.err");
+    ASSERT_TRUE(saveTraceFileV2(orig, p.path, 1024));
+    std::string bytes;
+    {
+        std::ifstream is(p.path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_EQ(bytes.compare(0, 8, "DLVPTRC3"), 0);
+    bytes[7] = '2';
+    std::ofstream(p.path, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_TRUE(isChunkedTraceFile(p.path));
+    constexpr const char *kRetired =
+        "uses the retired FNV-1a chunk checksum; the file must be "
+        "regenerated";
+
+    const auto expectRetired = [&](const char *reader, auto &&load) {
+        try {
+            load();
+            ADD_FAILURE() << reader << " loaded a version-2 file";
+        } catch (const common::RunError &e) {
+            EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt) << reader;
+            expectError(e.what(), kRetired);
+        }
+    };
+    expectRetired("ChunkedTraceFile::open",
+                  [&] { ChunkedTraceFile::open(p.path); });
+    expectRetired("loadTraceOrThrow", [&] {
+        std::stringstream is(bytes);
+        Trace t;
+        loadTraceOrThrow(t, is);
+    });
+    expectRetired("loadTraceFileOrThrow", [&] {
+        Trace t;
+        loadTraceFileOrThrow(t, p.path);
+    });
+
+    const std::string cmd = std::string(DLVP_CLI_BIN) + " runfile " +
+                            p.path + " >/dev/null 2>" + err.path;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    std::ifstream is(err.path);
+    const std::string msg((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+    expectError(msg, "io_corrupt");
+    expectError(msg, kRetired);
 }
 
 // ---------------------------------------------------------------------
@@ -262,8 +491,7 @@ struct Chunk0
         std::stringstream buf;
         EXPECT_TRUE(saveTraceV2(pageless, buf, 256));
         bytes = buf.str();
-        header = 8 + 4 + 8 + 4 + pageless.name.size() + 4 +
-                 pageless.suite.size() + 8;
+        header = firstChunkOffset(pageless);
     }
 
     std::uint32_t
@@ -276,15 +504,11 @@ struct Chunk0
 
     std::size_t payload() const { return header + 16; }
 
-    /** FNV-1a 64, written out here independently of the reader. */
     void
     restampChecksum()
     {
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        for (std::size_t i = 0; i < encLen(); ++i) {
-            h ^= static_cast<unsigned char>(bytes[payload() + i]);
-            h *= 0x100000001b3ULL;
-        }
+        const std::uint64_t h =
+            specChecksum(bytes.data() + payload(), encLen());
         std::memcpy(bytes.data() + header + 8, &h, sizeof(h));
     }
 
@@ -303,16 +527,24 @@ struct Chunk0
         return "loaded";
     }
 
+    /** The io_corrupt message the random-access reader reports for
+     *  chunk 0, read back from @p path. */
+    std::string
+    chunkError(const std::string &path) const
+    {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+        try {
+            ChunkedTraceFile::open(path)->chunk(0);
+        } catch (const common::RunError &e) {
+            EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
+            return e.what();
+        }
+        return "loaded";
+    }
+
     std::string bytes;
     std::size_t header = 0;
 };
-
-void
-expectError(const std::string &what, const char *expected)
-{
-    EXPECT_NE(what.find(expected), std::string::npos)
-        << "got: " << what << "\nexpected: " << expected;
-}
 
 TEST(TraceV2Fuzz, ChecksumMismatchOutranksFieldErrors)
 {
@@ -330,17 +562,39 @@ TEST(TraceV2Fuzz, ChecksumMismatchOutranksFieldErrors)
     for (const bool restamp : {false, true}) {
         if (restamp)
             s.restampChecksum();
-        std::ofstream(p.path, std::ios::binary) << s.bytes;
-        const auto file = ChunkedTraceFile::open(p.path);
-        try {
-            file->chunk(0);
-            FAIL() << "corrupt chunk must not decode";
-        } catch (const common::RunError &e) {
-            expectError(e.what(),
-                        restamp ? "instruction op class out of range"
-                                : "chunk checksum mismatch");
+        expectError(s.chunkError(p.path),
+                    restamp ? "instruction op class out of range"
+                            : "chunk checksum mismatch");
+    }
+}
+
+TEST(TraceV2Fuzz, EverySingleByteChangeIsDetected)
+{
+    // The checksum's guarantee (trace_v2.hh): a change confined to one
+    // word or tail byte is always detected. Flip every payload byte of
+    // a real chunk in turn, on both readers.
+    TempPath p("every_byte.dt2");
+    const Chunk0 clean;
+    ASSERT_EQ(clean.loadError(), "loaded");
+    ASSERT_GT(clean.encLen(), 64u);
+    for (std::size_t i = 0; i < clean.encLen(); ++i) {
+        Chunk0 c = clean;
+        c.bytes[c.payload() + i] ^= static_cast<char>(0xff);
+        expectError(c.loadError(), "chunk checksum mismatch");
+        expectError(c.chunkError(p.path), "chunk checksum mismatch");
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "payload byte " << i;
+            return;
         }
     }
+
+    // Swapping two adjacent words moves each into the other's lane.
+    Chunk0 c = clean;
+    char *w = c.bytes.data() + c.payload();
+    ASSERT_NE(std::memcmp(w, w + 8, 8), 0);
+    std::swap_ranges(w, w + 8, w + 8);
+    expectError(c.loadError(), "chunk checksum mismatch");
+    expectError(c.chunkError(p.path), "chunk checksum mismatch");
 }
 
 TEST(TraceV2Fuzz, VarintOverrunIsReportedAfterTheChecksum)

@@ -34,7 +34,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -537,16 +536,6 @@ cmdGenMega(const std::string &path, const Options &opt)
     return 0;
 }
 
-/** True when the file leads with the dlvp-trace-v2 magic. */
-bool
-isV2File(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    char magic[8] = {};
-    is.read(magic, sizeof(magic));
-    return is && std::memcmp(magic, "DLVPTRC2", sizeof(magic)) == 0;
-}
-
 int
 cmdRunFile(const std::string &path, const Options &opt)
 {
@@ -555,7 +544,7 @@ cmdRunFile(const std::string &path, const Options &opt)
     // materializes. Either load throws RunError{io_corrupt} with the
     // precise validation failure (caught in main) instead of a
     // generic "failed to read".
-    if (isV2File(path))
+    if (trace::isChunkedTraceFile(path))
         t.attachStream(trace::ChunkedTraceFile::open(path));
     else
         trace::loadTraceFileOrThrow(t, path);
@@ -580,14 +569,14 @@ cmdRunFile(const std::string &path, const Options &opt)
 int
 cmdTraceInfo(const std::string &path)
 {
-    if (isV2File(path)) {
+    if (trace::isChunkedTraceFile(path)) {
         const auto f = trace::ChunkedTraceFile::open(path);
         const double perInst =
             f->numInsts() ? static_cast<double>(f->encodedBytes()) /
                                 static_cast<double>(f->numInsts())
                           : 0.0;
         std::printf(
-            "format      dlvp-trace-v2\n"
+            "format      dlvp-trace-v2 (on-disk version %c)\n"
             "name        %s\n"
             "suite       %s\n"
             "uops        %llu\n"
@@ -595,7 +584,8 @@ cmdTraceInfo(const std::string &path)
             "chunks      %llu x %u uops\n"
             "file bytes  %llu (%.2f B/uop encoded; v1 would be "
             "%llu)\n",
-            f->name().c_str(), f->suite().c_str(),
+            trace::kChunkedTraceVersion, f->name().c_str(),
+            f->suite().c_str(),
             static_cast<unsigned long long>(f->numInsts()),
             f->initialImage().numPages(),
             static_cast<unsigned long long>(f->numChunks()),
