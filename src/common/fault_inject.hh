@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic fault injection for exercising the fault-tolerance
- * layer (sweep isolation, retry, watchdogs, trace_io hardening).
+ * layer (sweep isolation, retry, watchdogs, trace-file hardening).
  *
  * A FaultPlan is parsed from a compact spec string — the
  * DLVP_FAULT_INJECT environment variable or the CLI --fault-plan
@@ -14,10 +14,12 @@
  *                                         RunError{trace_build}
  *          | 'stall' ':' target '=' ms    sleep <ms> inside the matching
  *                                         sweep job before simulating
- *          | 'trunc' ':' nbytes           truncate trace files loaded via
- *                                         loadTraceFile to <nbytes> bytes
+ *          | 'trunc' ':' nbytes           truncate trace files opened by
+ *                                         ChunkedTraceFile::open to
+ *                                         <nbytes> bytes
  *          | 'flip' ':' byte '.' bit      flip bit <bit> (0-7) of byte
- *                                         <byte> in loaded trace files
+ *                                         <byte> in trace files opened
+ *                                         by ChunkedTraceFile::open
  *          | 'cache' ':' op ['@' n]       fire the named result-cache
  *                                         fault at the n-th (1-based,
  *                                         per-rule; every if omitted)
@@ -40,7 +42,7 @@
  *   build:mcf            every mcf trace build fails
  *   build:mcf@1          only the first attempt fails (retry succeeds)
  *   stall:vpr/dlvp=50    the (vpr, dlvp) job sleeps 50 ms
- *   trunc:128            loaded trace files are cut to 128 bytes
+ *   trunc:128            opened trace files are cut to 128 bytes
  *   cache:kill-journal@1 SIGKILL mid-append of the first journal record
  *   conn:drop@2          the daemon drops its second accepted connection
  *

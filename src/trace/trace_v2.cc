@@ -23,9 +23,20 @@ constexpr char kMagicV2[8] = {'D', 'L', 'V', 'P', 'T', 'R', 'C',
                               kChunkedTraceVersion};
 constexpr char kTailMagic[8] = {'D', 'L', 'V', 'P', 'I', 'D', 'X', '2'};
 
-/** Byte 7 of the retired first version, whose chunk checksum was
- *  byte-serial FNV-1a 64. */
-constexpr char kRetiredVersion = '2';
+/** An on-disk version byte (magic byte 7) that is no longer read, and
+ *  the io_corrupt message that refuses it. */
+struct RetiredVersion
+{
+    char byte;
+    const char *message;
+};
+
+constexpr RetiredVersion kRetiredVersions[] = {
+    {'1', "on-disk version 1 is the retired dlvp-trace-v1 record format; "
+          "regenerate the file with `dlvp_cli gen`"},
+    {'2', "on-disk version 2 uses the retired FNV-1a chunk checksum; the "
+          "file must be regenerated"},
+};
 
 /** Per-chunk header: u32 count | u32 encLen | u64 checksum. */
 constexpr std::uint64_t kChunkHeaderBytes = 4 + 4 + 8;
@@ -67,9 +78,10 @@ readMagic(std::istream &is)
 {
     char magic[8] = {};
     is.read(magic, sizeof(magic));
-    if (is && magic[7] == kRetiredVersion && isChunkedTraceMagic(magic))
-        corruptErr("on-disk version 2 uses the retired FNV-1a chunk "
-                   "checksum; the file must be regenerated");
+    if (is && std::memcmp(magic, kMagicV2, 7) == 0)
+        for (const RetiredVersion &r : kRetiredVersions)
+            if (magic[7] == r.byte)
+                corruptErr(r.message);
     if (!is || std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) != 0)
         corruptErr("bad magic (not a dlvp v2 trace file)");
 }
@@ -217,7 +229,11 @@ getString(std::istream &is, std::string &s)
     return static_cast<bool>(is);
 }
 
-/** See trace_io.cc bytesRemaining — same overflow guard. */
+/**
+ * Bytes left in the stream, or -1 when the stream is not seekable.
+ * Used to reject section counts that promise more payload than the
+ * file holds, before any multi-GB allocation can fire.
+ */
 std::streamoff
 bytesRemaining(std::istream &is)
 {
@@ -281,8 +297,8 @@ decodeInst(PayloadReader &r, Addr &prev_pc, Addr &prev_mem, TraceInst &i)
     i.numDests = r.byte();
     i.destBase = r.byte();
     i.memSize = r.byte();
-    // Same field ranges as the v1 loader: a flipped enum or width must
-    // not feed out-of-range values into core lookup tables.
+    // A flipped enum or width must not feed out-of-range values into
+    // core lookup tables.
     if (cls > static_cast<std::uint8_t>(OpClass::Nop))
         corruptErr("instruction op class out of range");
     if (kind > static_cast<std::uint8_t>(LoadKind::Vector))
@@ -330,35 +346,10 @@ decodeChunkPayload(const char *data, std::uint32_t enc_len,
         corruptErr("chunk payload has trailing bytes");
 }
 
-/**
- * Parse the v2 header sections shared by both loaders: chunk size,
- * declared instruction count, name/suite, memory image. The magic must
- * already be consumed and verified. Leaves @p is at the first chunk.
- */
-struct HeaderV2
+/** Read the memory image section (page count, then the pages). */
+void
+readImage(std::istream &is, MemoryImage &image)
 {
-    std::uint32_t chunkInsts = 0;
-    std::uint64_t instCount = 0;
-    std::string name;
-    std::string suite;
-};
-
-HeaderV2
-readHeaderV2(std::istream &is, MemoryImage &image)
-{
-    HeaderV2 h;
-    if (!get(is, h.chunkInsts))
-        corruptErr("truncated chunk size");
-    if (h.chunkInsts == 0 || h.chunkInsts > kMaxChunkInsts)
-        corruptErr("chunk size out of range");
-    if (!get(is, h.instCount))
-        corruptErr("truncated instruction count");
-    if (h.instCount > kMaxInstCount)
-        corruptErr("implausible instruction count");
-    if (!getString(is, h.name) || !getString(is, h.suite))
-        corruptErr("truncated or oversized name/suite header");
-
-    image.clear();
     std::uint64_t num_pages = 0;
     if (!get(is, num_pages))
         corruptErr("truncated page count");
@@ -379,7 +370,6 @@ readHeaderV2(std::istream &is, MemoryImage &image)
             corruptErr("truncated page payload");
         image.installPage(addr, page.data());
     }
-    return h;
 }
 
 std::uint64_t
@@ -389,23 +379,6 @@ numChunksFor(std::uint64_t insts, std::uint32_t chunk_insts)
 }
 
 } // namespace
-
-bool
-isChunkedTraceMagic(const char *magic)
-{
-    return std::memcmp(magic, kMagicV2, 7) == 0 &&
-           (magic[7] == kChunkedTraceVersion ||
-            magic[7] == kRetiredVersion);
-}
-
-bool
-isChunkedTraceFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    char magic[8] = {};
-    is.read(magic, sizeof(magic));
-    return is && isChunkedTraceMagic(magic);
-}
 
 // ---------------------------------------------------------------------
 // Writer
@@ -508,71 +481,6 @@ saveTraceFileV2(const Trace &trace, const std::string &path,
 }
 
 // ---------------------------------------------------------------------
-// Materializing loader (any istream, sequential)
-// ---------------------------------------------------------------------
-
-void
-loadTraceV2OrThrow(Trace &trace, std::istream &is)
-{
-    // trace_io routes any chunked magic here, a retired version
-    // included; this check refuses all but the current one.
-    readMagic(is);
-    const HeaderV2 h = readHeaderV2(is, trace.initialImage);
-    trace.name = h.name;
-    trace.suite = h.suite;
-
-    // Reject counts that promise more instructions than the remaining
-    // bytes could possibly encode, before any multi-GB reserve().
-    const std::streamoff left = bytesRemaining(is);
-    if (left >= 0 &&
-        h.instCount >
-            static_cast<std::uint64_t>(left) / kMinEncodedInst)
-        corruptErr("instruction count exceeds file size");
-
-    const std::uint64_t nchunks =
-        numChunksFor(h.instCount, h.chunkInsts);
-    trace.insts.clear();
-    trace.insts.reserve(h.instCount);
-    std::string payload;
-    for (std::uint64_t ci = 0; ci < nchunks; ++ci) {
-        std::uint32_t count = 0, enc_len = 0;
-        std::uint64_t checksum = 0;
-        if (!get(is, count) || !get(is, enc_len) ||
-            !get(is, checksum))
-            corruptErr("truncated chunk header");
-        const std::uint64_t expect =
-            ci + 1 < nchunks
-                ? h.chunkInsts
-                : h.instCount - ci * h.chunkInsts;
-        if (count != expect)
-            corruptErr("chunk instruction count mismatch");
-        const std::streamoff chunk_left = bytesRemaining(is);
-        if (chunk_left >= 0 &&
-            enc_len > static_cast<std::uint64_t>(chunk_left))
-            corruptErr("chunk length exceeds file size");
-        payload.resize(enc_len);
-        is.read(payload.data(), enc_len);
-        if (!is)
-            corruptErr("truncated chunk payload");
-        const std::size_t at = trace.insts.size();
-        trace.insts.resize(at + count);
-        decodeChunkPayload(payload.data(), enc_len, count, checksum,
-                           trace.insts.data() + at);
-    }
-
-    // Validate the index footer too: a file truncated after its last
-    // chunk would otherwise load sequentially but fail random access
-    // (ChunkedTraceFile::open) — the formats must agree on validity.
-    std::vector<char> footer(nchunks * 8 + 8 + sizeof(kTailMagic));
-    is.read(footer.data(),
-            static_cast<std::streamsize>(footer.size()));
-    if (!is || std::memcmp(footer.data() + footer.size() -
-                               sizeof(kTailMagic),
-                           kTailMagic, sizeof(kTailMagic)) != 0)
-        corruptErr("truncated or malformed index footer");
-}
-
-// ---------------------------------------------------------------------
 // Random-access file handle
 // ---------------------------------------------------------------------
 
@@ -610,11 +518,24 @@ ChunkedTraceFile::open(const std::string &path)
     }
 
     readMagic(*is);
-    const HeaderV2 h = readHeaderV2(*is, self->image_);
-    self->name_ = h.name;
-    self->suite_ = h.suite;
-    self->instCount_ = h.instCount;
-    self->chunkInsts_ = h.chunkInsts;
+    if (!get(*is, self->chunkInsts_))
+        corruptErr("truncated chunk size");
+    if (self->chunkInsts_ == 0 || self->chunkInsts_ > kMaxChunkInsts)
+        corruptErr("chunk size out of range");
+    if (!get(*is, self->instCount_))
+        corruptErr("truncated instruction count");
+    if (self->instCount_ > kMaxInstCount)
+        corruptErr("implausible instruction count");
+    if (!getString(*is, self->name_) || !getString(*is, self->suite_))
+        corruptErr("truncated or oversized name/suite header");
+    readImage(*is, self->image_);
+    // Reject counts that promise more instructions than the remaining
+    // bytes could possibly encode: a small file must not declare a
+    // trace whose first chunk decode is the first sign of trouble.
+    const std::streamoff left = bytesRemaining(*is);
+    if (left >= 0 && self->instCount_ > static_cast<std::uint64_t>(left) /
+                                            kMinEncodedInst)
+        corruptErr("instruction count exceeds file size");
 
     // Index footer: ... | u64 chunkOffset[n] | u64 indexOffset | tail.
     is->seekg(0, std::ios::end);
@@ -623,7 +544,7 @@ ChunkedTraceFile::open(const std::string &path)
         corruptErr("stream not seekable");
     self->fileBytes_ = static_cast<std::uint64_t>(file_size);
     const std::uint64_t nchunks =
-        numChunksFor(h.instCount, h.chunkInsts);
+        numChunksFor(self->instCount_, self->chunkInsts_);
     const std::uint64_t tail_bytes = 8 + 8 + nchunks * 8;
     if (static_cast<std::uint64_t>(file_size) < tail_bytes)
         corruptErr("file too small for index footer");

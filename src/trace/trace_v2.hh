@@ -1,13 +1,9 @@
 /**
  * @file
  * dlvp-trace-v2: the chunked, delta/varint-compressed on-disk trace
- * format, plus the streaming reader that serves it to the core with
- * O(chunk) resident memory.
- *
- * Why a second format: v1 (trace_io.hh) serializes fixed 50-byte
- * records and must be fully materialized to be simulated, so a
- * 10M-instruction mega trace costs ~500 MB of records on disk and the
- * same again in RAM. v2 splits the instruction stream into fixed-size
+ * format, its one writer (ChunkedTraceWriter) and its one reader
+ * (ChunkedTraceFile), which serves it to the core with O(chunk)
+ * resident memory. The instruction stream is split into fixed-size
  * chunks that decode independently, so a reader holds only the chunks
  * covering the core's in-flight window.
  *
@@ -18,9 +14,7 @@
  *                                          (kChunkedTraceVersion)
  *   u32    chunkInsts                      instructions per chunk
  *   u64    instCount                       declared total (writer
- *                                          knows it up front, so
- *                                          sequential readers need no
- *                                          footer)
+ *                                          knows it up front)
  *   string name | string suite             (u32 length + bytes)
  *   u64    pageCount
  *   { u64 pageAddr | 4096 raw bytes } *    initial memory image
@@ -31,9 +25,11 @@
  *   tail   "DLVPIDX2"
  *
  * The format keeps its dlvp-trace-v2 name (and the *V2 API) across
- * on-disk versions. Version 2 differed only in its chunk checksum,
- * byte-serial FNV-1a 64; it is retired, and a version-2 file is
- * rejected with RunError{io_corrupt} saying it must be regenerated.
+ * on-disk versions. Two versions are retired, and a file of either is
+ * rejected with RunError{io_corrupt} saying it must be regenerated:
+ * version 1, the fixed-record dlvp-trace-v1 format, and version 2,
+ * which differed from this one only in its chunk checksum
+ * (byte-serial FNV-1a 64).
  *
  * Each chunk is
  *
@@ -52,10 +48,9 @@
  *
  * Delta state resets at every chunk boundary, which is what makes a
  * chunk decodable without its predecessors (the index footer's O(1)
- * seek would otherwise be useless). Every field is validated on
- * decode with the same ranges as the v1 loader; any violation —
- * including a checksum mismatch — raises RunError{io_corrupt}, never
- * a crash (fuzzed in tests/test_mega.cc).
+ * seek would otherwise be useless). Every field is range-checked on
+ * decode; any violation — including a checksum mismatch — raises
+ * RunError{io_corrupt}, never a crash (fuzzed in tests/test_mega.cc).
  *
  * The chunk checksum reads the payload as little-endian u64 words
  * w[i], all arithmetic mod 2^64, with XXH64's odd primes P1..P5 and
@@ -74,10 +69,10 @@
  * word or one tail byte is always detected: the per-byte guarantee
  * FNV-1a gave, at a word per step in four independent chains.
  *
- * Every reader (ChunkedTraceFile::chunk and ::scan, loadTraceV2OrThrow)
- * verifies a payload's checksum before decoding it, so the error
- * precedence is by construction: a checksum mismatch first, then a
- * field or varint error, then trailing bytes after the last record.
+ * Both chunk readers (ChunkedTraceFile::chunk and ::scan) verify a
+ * payload's checksum before decoding it, so the error precedence is by
+ * construction: a checksum mismatch first, then a field or varint
+ * error, then trailing bytes after the last record.
  *
  * ChunkedTraceFile serves two kinds of reader. TraceCursors share a
  * small cache of decoded chunks; sequential scans (Trace::forEachSpan)
@@ -108,17 +103,6 @@ class Trace;
 
 /** On-disk version of the chunked format: byte 7 of its magic. */
 inline constexpr char kChunkedTraceVersion = '3';
-
-/**
- * True when @p magic, a file's first 8 bytes, marks a chunked trace:
- * the current version, or the retired version 2, which the chunked
- * readers reject with RunError{io_corrupt} saying it must be
- * regenerated. Every reader that picks a loader by magic asks this.
- */
-bool isChunkedTraceMagic(const char *magic);
-
-/** isChunkedTraceMagic on the first 8 bytes of the file at @p path. */
-bool isChunkedTraceFile(const std::string &path);
 
 /** Default instructions per v2 chunk (~16k insts, ~200-400 KB raw). */
 inline constexpr std::uint32_t kDefaultChunkInsts = 16384;
@@ -174,16 +158,8 @@ bool saveTraceFileV2(const Trace &trace, const std::string &path,
                      std::uint32_t chunk_insts = kDefaultChunkInsts);
 
 /**
- * Materializing v2 loader: reads the whole stream (header, every
- * chunk) into @p trace.insts, sequentially — no seeking needed, so it
- * works on any istream. Called by trace_io's loadTraceOrThrow when the
- * magic says v2. Throws RunError{io_corrupt} on any malformed byte.
- */
-void loadTraceV2OrThrow(Trace &trace, std::istream &is);
-
-/**
- * Random-access handle on a v2 trace file. Parses the header and the
- * index footer eagerly (pages included — the image is needed before
+ * Random-access handle on a v2 trace file: the only trace-file parser.
+ * Parses the header and the index footer eagerly (pages included — the image is needed before
  * instruction zero anyway) but decodes instruction chunks lazily and
  * caches the most recent few so concurrent readers (sweep cells
  * sharing one TraceStore-held trace) decode each chunk once, not once
@@ -201,7 +177,11 @@ class ChunkedTraceFile
   public:
     using ChunkPtr = std::shared_ptr<const std::vector<TraceInst>>;
 
-    /** Open and validate @p path. Throws RunError{io_corrupt}. */
+    /**
+     * Open @p path and validate its magic, header, memory image and
+     * index footer; chunks are validated as they are decoded. Throws
+     * RunError{io_corrupt}.
+     */
     static std::shared_ptr<ChunkedTraceFile>
     open(const std::string &path);
 

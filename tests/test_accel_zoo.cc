@@ -4,7 +4,8 @@
  * post-registry accelerators (BALCVP, Hermes), the LoadAccelerator
  * registry round-trip — every registered key constructs, snapshots,
  * and restores its speculative state under a synthetic flush storm —
- * and 1-vs-8-thread sweep bit-identity for the new configurations.
+ * 1-vs-8-thread sweep bit-identity for the new configurations, and the
+ * partitioned tournament's coverage against the naive one.
  */
 
 #include <gtest/gtest.h>
@@ -347,6 +348,23 @@ TEST(ZooSweep, ParallelIsBitIdenticalToSerial)
                 << a.workload << " config " << ci
                 << " differs between 1 and 8 threads";
     }
+}
+
+// ---------------------------------------------------------------------
+// Partitioned tournament
+// ---------------------------------------------------------------------
+
+TEST(PartitionedTournament, RunsAndCoversAtLeastAsMuch)
+{
+    sim::Simulator s(sim::baselineCore(), 80000);
+    const auto naive = s.run("pdfjs", sim::tournamentConfig());
+    const auto part =
+        s.run("pdfjs", sim::partitionedTournamentConfig());
+    EXPECT_EQ(naive.committedInsts, part.committedInsts);
+    // Partitioning frees VTAGE capacity; combined coverage must not
+    // collapse (it usually grows on overlap-heavy workloads).
+    EXPECT_GT(part.coverage(), naive.coverage() * 0.9);
+    EXPECT_GT(part.accuracy(), 0.95);
 }
 
 } // namespace

@@ -16,12 +16,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/fault_inject.hh"
 #include "common/run_error.hh"
@@ -31,7 +33,6 @@
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "trace/mega.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 
@@ -131,29 +132,210 @@ firstChunkOffset(const Trace &t)
     return 8 + 4 + 8 + 4 + t.name.size() + 4 + t.suite.size() + 8;
 }
 
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(is)),
+                       std::istreambuf_iterator<char>());
+}
+
+/**
+ * Write @p bytes to @p path, open it and decode every chunk: "loaded",
+ * or the io_corrupt message of the first check that failed.
+ */
+std::string
+openError(const std::string &path, const std::string &bytes)
+{
+    writeBytes(path, bytes);
+    try {
+        const auto f = ChunkedTraceFile::open(path);
+        for (std::uint64_t ci = 0; ci < f->numChunks(); ++ci)
+            f->chunk(ci);
+    } catch (const common::RunError &e) {
+        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
+        return e.what();
+    }
+    return "loaded";
+}
+
+/** Run `dlvp_cli @p args`; returns the exit status, stderr in @p err. */
+int
+runCli(const std::string &args, std::string &err)
+{
+    // Per process: ctest runs each test case as its own process.
+    const TempPath errPath(
+        ("cli_" + std::to_string(::getpid()) + ".err").c_str());
+    const std::string cmd = std::string(DLVP_CLI_BIN) + " " + args +
+                            " >/dev/null 2>" + errPath.path;
+    const int status = std::system(cmd.c_str());
+    err = readBytes(errPath.path);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+template <typename T>
+void
+poke(std::string &bytes, std::size_t at, T v)
+{
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+template <typename T>
+T
+peek(const std::string &bytes, std::size_t at)
+{
+    T v;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+}
+
 // ---------------------------------------------------------------------
 // dlvp-trace-v2 format
 // ---------------------------------------------------------------------
 
-TEST(TraceV2, RoundTripIsBitIdenticalToV1)
+TEST(TraceIo, RoundTripPreservesEverything)
 {
     const auto orig = WorkloadRegistry::build("crafty", 9000);
+    TempPath p("round_trip.dt2");
+    ASSERT_TRUE(saveTraceFileV2(orig, p.path, 2048));
 
-    // v1 and v2 serializations of the same trace must decode to the
-    // same instructions and image.
-    std::stringstream v1buf, v2buf;
-    ASSERT_TRUE(saveTrace(orig, v1buf));
-    ASSERT_TRUE(saveTraceV2(orig, v2buf, 2048));
+    // The file decodes to the in-memory build: header, every page of
+    // the image byte for byte, and every instruction.
+    Trace back;
+    back.attachStream(ChunkedTraceFile::open(p.path));
+    EXPECT_EQ(back.name, orig.name);
+    EXPECT_EQ(back.suite, orig.suite);
+    EXPECT_EQ(back.verifyReplay(), back.size());
+    const auto pages = [](const MemoryImage &image) {
+        std::vector<std::pair<Addr, std::string>> out;
+        image.forEachPage([&out](Addr a, const std::uint8_t *bytes) {
+            out.emplace_back(a, std::string(reinterpret_cast<const char *>(
+                                                bytes),
+                                            MemoryImage::kPageSize));
+        });
+        return out;
+    };
+    ASSERT_GT(orig.initialImage.numPages(), 0u);
+    EXPECT_TRUE(pages(back.initialImage) == pages(orig.initialImage))
+        << "memory image changed";
+    back.materialize();
+    expectSameInsts(back, orig);
+}
 
-    Trace fromV1, fromV2;
-    ASSERT_TRUE(loadTrace(fromV1, v1buf));
-    loadTraceOrThrow(fromV2, v2buf); // auto-detects the v2 magic
-    EXPECT_EQ(fromV2.name, orig.name);
-    EXPECT_EQ(fromV2.suite, orig.suite);
-    expectSameInsts(fromV1, fromV2);
-    EXPECT_EQ(fromV2.initialImage.numPages(),
-              orig.initialImage.numPages());
-    EXPECT_EQ(fromV2.verifyReplay(), fromV2.size());
+TEST(TraceIo, MissingFileFails)
+{
+    const std::string missing = "/nonexistent/path/x.dt2";
+    try {
+        ChunkedTraceFile::open(missing);
+        FAIL() << "a missing file must not open";
+    } catch (const common::RunError &e) {
+        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
+        expectError(e.what(), "cannot open trace file");
+    }
+    std::string err;
+    EXPECT_EQ(runCli("runfile " + missing, err), 1);
+    expectError(err, "io_corrupt: cannot open trace file");
+}
+
+TEST(TraceIo, FileRoundTrip)
+{
+    // `dlvp_cli gen` writes the file; the one reader reads back the
+    // registry build's header and every instruction.
+    const auto orig = WorkloadRegistry::build("idctrn", 3000);
+    TempPath p("cli_gen.dt2");
+    std::string err;
+    ASSERT_EQ(runCli("gen idctrn " + p.path + " --insts 3000 --chunk-insts 512",
+                     err),
+              0)
+        << err;
+    Trace loaded;
+    loaded.attachStream(ChunkedTraceFile::open(p.path));
+    EXPECT_EQ(loaded.name, orig.name);
+    EXPECT_EQ(loaded.suite, orig.suite);
+    EXPECT_EQ(loaded.stream()->numChunks(), 6u);
+    loaded.materialize();
+    expectSameInsts(loaded, orig);
+}
+
+TEST(TraceIo, LoadedTraceSimulatesIdentically)
+{
+    // Materialized from the file (not streamed from it), the trace
+    // simulates exactly like the in-memory build.
+    const auto orig = WorkloadRegistry::build("crafty", 10000);
+    TempPath p("loaded.dt2");
+    ASSERT_TRUE(saveTraceFileV2(orig, p.path, 2048));
+    Trace loaded;
+    loaded.attachStream(ChunkedTraceFile::open(p.path));
+    loaded.materialize();
+    ASSERT_FALSE(loaded.streamed());
+
+    sim::Simulator s(sim::baselineCore(), orig.size());
+    const auto a = s.run(orig, sim::dlvpConfig());
+    const auto b = s.run(loaded, sim::dlvpConfig());
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.vpPredictedLoads, b.vpPredictedLoads);
+    EXPECT_TRUE(a == b) << "a materialized file changed CoreStats";
+}
+
+TEST(TraceIo, RejectsGarbage)
+{
+    // Inputs with no valid magic, from empty to a page of seeded
+    // noise, are refused at open() and by runfile.
+    std::mt19937_64 rng(0x9a4ba9eULL);
+    std::string noise(4096, '\0');
+    for (char &c : noise)
+        c = static_cast<char>(rng());
+    TempPath p("garbage_in.dt2");
+    for (const std::string &bytes :
+         {std::string(), std::string("DLVP"), std::string("DLVPTRC"),
+          std::string(64, '\0'), noise}) {
+        expectError(openError(p.path, bytes), "bad magic");
+        std::string err;
+        EXPECT_EQ(runCli("runfile " + p.path, err), 1) << bytes.size();
+        expectError(err, "io_corrupt");
+    }
+}
+
+TEST(TraceIo, RejectsTruncation)
+{
+    // A file cut in half on disk: open() refuses it (its index footer
+    // is gone), and so does runfile.
+    const auto orig = WorkloadRegistry::build("viterb", 2000);
+    TempPath p("half.dt2");
+    ASSERT_TRUE(saveTraceFileV2(orig, p.path, 256));
+    const std::string full = readBytes(p.path);
+    writeBytes(p.path, full.substr(0, full.size() / 2));
+    EXPECT_THROW(ChunkedTraceFile::open(p.path), common::RunError);
+    std::string err;
+    EXPECT_EQ(runCli("runfile " + p.path, err), 1);
+    expectError(err, "io_corrupt");
+}
+
+TEST(TraceV2, RoundTripIsBitIdenticalToV1)
+{
+    // Named for the retired v1 format it was once checked against. A
+    // file decoded and written again is byte for byte the same file,
+    // and decodes to the in-memory build.
+    const auto orig = WorkloadRegistry::build("crafty", 9000);
+    std::stringstream first;
+    ASSERT_TRUE(saveTraceV2(orig, first, 2048));
+    TempPath p("bit_identical.dt2");
+    writeBytes(p.path, first.str());
+
+    Trace back;
+    back.attachStream(ChunkedTraceFile::open(p.path));
+    back.materialize();
+    expectSameInsts(back, orig);
+    std::stringstream second;
+    ASSERT_TRUE(saveTraceV2(back, second, 2048));
+    EXPECT_TRUE(second.str() == first.str())
+        << "re-encoding a decoded file changed its bytes";
 }
 
 TEST(TraceV2, ConvertedTraceSimulatesIdentically)
@@ -162,7 +344,7 @@ TEST(TraceV2, ConvertedTraceSimulatesIdentically)
     TempPath p("convert.dt2");
     ASSERT_TRUE(saveTraceFileV2(orig, p.path, 4096));
     Trace loaded;
-    loadTraceFileOrThrow(loaded, p.path);
+    loaded.attachStream(ChunkedTraceFile::open(p.path));
 
     sim::Simulator s(sim::baselineCore(), orig.size());
     const auto a = s.run(orig, sim::dlvpConfig());
@@ -194,23 +376,6 @@ TEST(TraceV2, StreamedRunMatchesMaterialized)
     // plus the fetch lookahead, never anything close to the whole
     // trace (20 chunks at 1024 insts each).
     EXPECT_LE(streamed.stream()->peakCachedChunks(), 6u);
-}
-
-TEST(TraceV2, StreamedTraceSavesAsV1)
-{
-    // trace-convert --to v1 from a v2 file saves the streamed trace.
-    const auto orig = WorkloadRegistry::build("gzip", 5000);
-    TempPath p("to_v1.dt2");
-    ASSERT_TRUE(saveTraceFileV2(orig, p.path, 1024));
-    Trace streamed;
-    loadTraceFileOrThrow(streamed, p.path);
-    ASSERT_TRUE(streamed.streamed());
-
-    std::stringstream v1buf;
-    ASSERT_TRUE(saveTrace(streamed, v1buf));
-    Trace fromV1;
-    ASSERT_TRUE(loadTrace(fromV1, v1buf));
-    expectSameInsts(fromV1, orig);
 }
 
 TEST(TraceV2, WriterRejectsCountMismatch)
@@ -335,68 +500,51 @@ TEST(TraceV2, EncoderMatchesReferenceEncoding)
     EXPECT_GE(worst, 30u) << "worst-case records not exercised";
 
     // And the reader decodes every record back.
-    std::stringstream is(bytes);
+    TempPath p("reference.dt2");
+    writeBytes(p.path, bytes);
     Trace back;
-    loadTraceOrThrow(back, is);
+    back.attachStream(ChunkedTraceFile::open(p.path));
+    back.materialize();
     expectSameInsts(back, t);
 }
 
-TEST(TraceV2, RetiredChecksumVersionIsRejected)
+TEST(TraceV2, RetiredVersionsAreRejected)
 {
     const auto orig = WorkloadRegistry::build("gzip", 3000);
     TempPath p("retired.dt2");
-    TempPath err("retired.err");
     ASSERT_TRUE(saveTraceFileV2(orig, p.path, 1024));
-    std::string bytes;
+    const std::string current = readBytes(p.path);
+    ASSERT_EQ(current.compare(0, 8, "DLVPTRC3"), 0);
+
+    // Byte 7 of the magic names the on-disk version.
+    const struct
     {
-        std::ifstream is(p.path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(is),
-                     std::istreambuf_iterator<char>());
-    }
-    ASSERT_EQ(bytes.compare(0, 8, "DLVPTRC3"), 0);
-    bytes[7] = '2';
-    std::ofstream(p.path, std::ios::binary | std::ios::trunc) << bytes;
-    EXPECT_TRUE(isChunkedTraceFile(p.path));
-    constexpr const char *kRetired =
-        "uses the retired FNV-1a chunk checksum; the file must be "
-        "regenerated";
-
-    const auto expectRetired = [&](const char *reader, auto &&load) {
-        try {
-            load();
-            ADD_FAILURE() << reader << " loaded a version-2 file";
-        } catch (const common::RunError &e) {
-            EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt) << reader;
-            expectError(e.what(), kRetired);
-        }
+        char version;
+        const char *message;
+    } retired[] = {
+        {'1', "on-disk version 1 is the retired dlvp-trace-v1 record "
+              "format; regenerate the file with `dlvp_cli gen`"},
+        {'2', "uses the retired FNV-1a chunk checksum; the file must be "
+              "regenerated"},
     };
-    expectRetired("ChunkedTraceFile::open",
-                  [&] { ChunkedTraceFile::open(p.path); });
-    expectRetired("loadTraceOrThrow", [&] {
-        std::stringstream is(bytes);
-        Trace t;
-        loadTraceOrThrow(t, is);
-    });
-    expectRetired("loadTraceFileOrThrow", [&] {
-        Trace t;
-        loadTraceFileOrThrow(t, p.path);
-    });
+    for (const auto &r : retired) {
+        SCOPED_TRACE(std::string("version ") + r.version);
+        std::string bytes = current;
+        bytes[7] = r.version;
+        expectError(openError(p.path, bytes), r.message);
 
-    const std::string cmd = std::string(DLVP_CLI_BIN) + " runfile " +
-                            p.path + " >/dev/null 2>" + err.path;
-    const int status = std::system(cmd.c_str());
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 1);
-    std::ifstream is(err.path);
-    const std::string msg((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-    expectError(msg, "io_corrupt");
-    expectError(msg, kRetired);
+        std::string err;
+        EXPECT_EQ(runCli("runfile " + p.path, err), 1);
+        expectError(err, "io_corrupt");
+        expectError(err, r.message);
+    }
 }
 
 // ---------------------------------------------------------------------
-// v2 corruption fuzzing (same contract as v1: fail cleanly, never
-// crash; satellite of DESIGN.md §9's io_corrupt taxonomy)
+// Corruption fuzzing: every corrupt file fails cleanly with
+// RunError{io_corrupt} at open() or at the first decode of the bad
+// chunk, never a crash (DESIGN.md §9's io_corrupt taxonomy). Each case
+// writes the bytes to a file, opens it and reads every chunk.
 // ---------------------------------------------------------------------
 
 std::string
@@ -411,6 +559,7 @@ serializedV2(std::size_t insts = 3000, std::uint32_t chunk = 512)
 
 TEST(TraceV2Fuzz, EveryTruncationPointFailsCleanly)
 {
+    TempPath p("truncated.dt2");
     const std::string full = serializedV2();
     ASSERT_GT(full.size(), 512u);
     std::vector<std::size_t> cuts;
@@ -419,15 +568,14 @@ TEST(TraceV2Fuzz, EveryTruncationPointFailsCleanly)
     for (std::size_t n = 257; n < full.size(); n += 131)
         cuts.push_back(n);
     cuts.push_back(full.size() - 1);
-    for (const std::size_t n : cuts) {
-        std::stringstream cut(full.substr(0, n));
-        Trace t;
-        EXPECT_FALSE(loadTrace(t, cut)) << "cut at " << n;
-    }
+    for (const std::size_t n : cuts)
+        EXPECT_NE(openError(p.path, full.substr(0, n)), "loaded")
+            << "cut at " << n;
 }
 
 TEST(TraceV2Fuzz, RandomBitFlipsNeverCrash)
 {
+    TempPath p("flipped.dt2");
     const std::string full = serializedV2();
     std::mt19937_64 rng(0xc0ffee5eedULL);
     std::size_t rejected = 0;
@@ -440,13 +588,11 @@ TEST(TraceV2Fuzz, RandomBitFlipsNeverCrash)
                 static_cast<unsigned char>(bytes[byte]) ^
                 (1u << (rng() % 8)));
         }
-        std::stringstream buf(bytes);
-        Trace t;
-        if (!loadTrace(t, buf))
+        if (openError(p.path, bytes) != "loaded")
             ++rejected;
     }
-    // Unlike v1's raw records, v2 payload bytes are checksummed, so
-    // the reject rate must be high (image-page flips may still load).
+    // Payload bytes are checksummed, so the reject rate must be high
+    // (image-page flips may still load).
     EXPECT_GT(rejected, 150u);
 }
 
@@ -459,22 +605,11 @@ TEST(TraceV2Fuzz, PayloadFlipReportsChecksumMismatch)
     std::stringstream buf;
     ASSERT_TRUE(saveTraceV2(pageless, buf, 256));
     std::string bytes = buf.str();
-    const std::size_t headerEnd = 8 + 4 + 8 + 4 + orig.name.size() +
-                                  4 + orig.suite.size() + 8;
     // Flip a byte well inside chunk 0's payload (past its 16-byte
     // count/encLen/checksum header).
-    bytes[headerEnd + 16 + 40] ^= 0x10;
-    std::stringstream mut(bytes);
-    Trace t;
-    try {
-        loadTraceOrThrow(t, mut);
-        FAIL() << "flipped payload must not load";
-    } catch (const common::RunError &e) {
-        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
-        EXPECT_NE(std::string(e.what()).find("checksum"),
-                  std::string::npos)
-            << e.what();
-    }
+    bytes[firstChunkOffset(orig) + 16 + 40] ^= 0x10;
+    TempPath p("payload_flip.dt2");
+    expectError(openError(p.path, bytes), "checksum");
 }
 
 /**
@@ -494,12 +629,9 @@ struct Chunk0
         header = firstChunkOffset(pageless);
     }
 
-    std::uint32_t
-    encLen() const
+    std::uint32_t encLen() const
     {
-        std::uint32_t n = 0;
-        std::memcpy(&n, bytes.data() + header + 4, sizeof(n));
-        return n;
+        return peek<std::uint32_t>(bytes, header + 4);
     }
 
     std::size_t payload() const { return header + 16; }
@@ -507,39 +639,15 @@ struct Chunk0
     void
     restampChecksum()
     {
-        const std::uint64_t h =
-            specChecksum(bytes.data() + payload(), encLen());
-        std::memcpy(bytes.data() + header + 8, &h, sizeof(h));
+        poke(bytes, header + 8,
+             specChecksum(bytes.data() + payload(), encLen()));
     }
 
-    /** The io_corrupt message the sequential loader reports. */
+    /** The io_corrupt message of reading these bytes from @p path. */
     std::string
-    loadError() const
+    loadError(const std::string &path) const
     {
-        std::stringstream is(bytes);
-        Trace t;
-        try {
-            loadTraceOrThrow(t, is);
-        } catch (const common::RunError &e) {
-            EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
-            return e.what();
-        }
-        return "loaded";
-    }
-
-    /** The io_corrupt message the random-access reader reports for
-     *  chunk 0, read back from @p path. */
-    std::string
-    chunkError(const std::string &path) const
-    {
-        std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-        try {
-            ChunkedTraceFile::open(path)->chunk(0);
-        } catch (const common::RunError &e) {
-            EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
-            return e.what();
-        }
-        return "loaded";
+        return openError(path, bytes);
     }
 
     std::string bytes;
@@ -549,39 +657,27 @@ struct Chunk0
 TEST(TraceV2Fuzz, ChecksumMismatchOutranksFieldErrors)
 {
     // Byte 0 of the payload is the first record's op class.
+    TempPath p("precedence.dt2");
     Chunk0 c;
     c.bytes[c.payload()] = static_cast<char>(0xff);
-    expectError(c.loadError(), "chunk checksum mismatch");
+    expectError(c.loadError(p.path), "chunk checksum mismatch");
     c.restampChecksum();
-    expectError(c.loadError(), "instruction op class out of range");
-
-    // The same precedence holds on the random-access reader.
-    TempPath p("precedence.dt2");
-    Chunk0 s;
-    s.bytes[s.payload()] = static_cast<char>(0xff);
-    for (const bool restamp : {false, true}) {
-        if (restamp)
-            s.restampChecksum();
-        expectError(s.chunkError(p.path),
-                    restamp ? "instruction op class out of range"
-                            : "chunk checksum mismatch");
-    }
+    expectError(c.loadError(p.path), "instruction op class out of range");
 }
 
 TEST(TraceV2Fuzz, EverySingleByteChangeIsDetected)
 {
     // The checksum's guarantee (trace_v2.hh): a change confined to one
     // word or tail byte is always detected. Flip every payload byte of
-    // a real chunk in turn, on both readers.
+    // a real chunk in turn.
     TempPath p("every_byte.dt2");
     const Chunk0 clean;
-    ASSERT_EQ(clean.loadError(), "loaded");
+    ASSERT_EQ(clean.loadError(p.path), "loaded");
     ASSERT_GT(clean.encLen(), 64u);
     for (std::size_t i = 0; i < clean.encLen(); ++i) {
         Chunk0 c = clean;
         c.bytes[c.payload() + i] ^= static_cast<char>(0xff);
-        expectError(c.loadError(), "chunk checksum mismatch");
-        expectError(c.chunkError(p.path), "chunk checksum mismatch");
+        expectError(c.loadError(p.path), "chunk checksum mismatch");
         if (::testing::Test::HasFailure()) {
             ADD_FAILURE() << "payload byte " << i;
             return;
@@ -593,34 +689,270 @@ TEST(TraceV2Fuzz, EverySingleByteChangeIsDetected)
     char *w = c.bytes.data() + c.payload();
     ASSERT_NE(std::memcmp(w, w + 8, 8), 0);
     std::swap_ranges(w, w + 8, w + 8);
-    expectError(c.loadError(), "chunk checksum mismatch");
-    expectError(c.chunkError(p.path), "chunk checksum mismatch");
+    expectError(c.loadError(p.path), "chunk checksum mismatch");
 }
 
 TEST(TraceV2Fuzz, VarintOverrunIsReportedAfterTheChecksum)
 {
     // The payload's last byte ends the last record's last varint;
     // setting its continuation bit runs that varint off the end.
+    TempPath p("varint.dt2");
     Chunk0 c;
     c.bytes[c.payload() + c.encLen() - 1] |= static_cast<char>(0x80);
-    expectError(c.loadError(), "chunk checksum mismatch");
+    expectError(c.loadError(p.path), "chunk checksum mismatch");
     c.restampChecksum();
-    expectError(c.loadError(), "varint runs past chunk payload");
+    expectError(c.loadError(p.path), "varint runs past chunk payload");
 }
 
 TEST(TraceV2Fuzz, TrailingPayloadBytesAreReportedAfterTheChecksum)
 {
     // One extra byte after the last record, counted in encLen: every
-    // record still decodes, and the leftover byte is the error.
+    // record still decodes, and the leftover byte is the error. The
+    // index footer's later offsets move up by that byte too.
+    TempPath p("trailing.dt2");
     Chunk0 c;
     const std::uint32_t grown = c.encLen() + 1;
-    std::memcpy(c.bytes.data() + c.header + 4, &grown, sizeof(grown));
+    poke(c.bytes, c.header + 4, grown);
     c.bytes.insert(c.payload() + grown - 1, 1, '\0');
-    expectError(c.loadError(), "chunk checksum mismatch");
+    const std::size_t size = c.bytes.size();
+    const auto index = peek<std::uint64_t>(c.bytes, size - 16) + 1;
+    poke(c.bytes, size - 16, index);
+    for (std::size_t at = index + 8; at < size - 16; at += 8)
+        poke(c.bytes, at, peek<std::uint64_t>(c.bytes, at) + 1);
+    expectError(c.loadError(p.path), "chunk checksum mismatch");
     c.restampChecksum();
-    expectError(c.loadError(), "chunk payload has trailing bytes");
+    expectError(c.loadError(p.path), "chunk payload has trailing bytes");
 }
 
+TEST(TraceV2Fuzz, EveryCheckReportsItsOwnMessage)
+{
+    // One crafted corruption per header, footer, chunk-header and
+    // record check, each expected to fail at exactly that check.
+    TempPath p("crafted.dt2");
+    const Chunk0 clean;
+    const std::size_t size = clean.bytes.size();
+    const auto index = peek<std::uint64_t>(clean.bytes, size - 16);
+    constexpr std::size_t kNameLen = 8 + 4 + 8;
+    const std::size_t pageCount = clean.header - 8;
+    // Set payload byte @p at of chunk 0 and restamp its checksum.
+    const auto record = [](std::size_t at, int v) {
+        return [at, v](Chunk0 &c) {
+            c.bytes[c.payload() + at] = static_cast<char>(v);
+            c.restampChecksum();
+        };
+    };
+
+    const struct
+    {
+        const char *expected;
+        std::function<void(Chunk0 &)> corrupt;
+    } cases[] = {
+        {"chunk size out of range",
+         [](Chunk0 &c) { poke<std::uint32_t>(c.bytes, 8, 0); }},
+        {"chunk size out of range",
+         [](Chunk0 &c) {
+             poke<std::uint32_t>(c.bytes, 8, (1u << 22) + 1);
+         }},
+        {"implausible instruction count",
+         [](Chunk0 &c) {
+             poke<std::uint64_t>(c.bytes, 12,
+                                 (std::uint64_t{1} << 33) + 1);
+         }},
+        {"truncated or oversized name/suite header",
+         [](Chunk0 &c) { poke<std::uint32_t>(c.bytes, kNameLen, ~0u); }},
+        {"page count exceeds file size",
+         [&](Chunk0 &c) {
+             poke<std::uint64_t>(c.bytes, pageCount,
+                                 std::uint64_t{1} << 40);
+         }},
+        {"bad index footer magic",
+         [&](Chunk0 &c) { c.bytes[size - 1] ^= 1; }},
+        {"index footer offset inconsistent",
+         [&](Chunk0 &c) { poke(c.bytes, size - 16, index + 8); }},
+        {"chunk offset out of range",
+         [&](Chunk0 &c) { poke(c.bytes, size - 24, index); }},
+        {"chunk offsets not ascending",
+         [&](Chunk0 &c) {
+             poke(c.bytes, index + 8, peek<std::uint64_t>(c.bytes, index));
+         }},
+        {"chunk instruction count mismatch",
+         [](Chunk0 &c) {
+             poke(c.bytes, c.header,
+                  peek<std::uint32_t>(c.bytes, c.header) - 1);
+         }},
+        {"chunk length implausible",
+         [](Chunk0 &c) { poke<std::uint32_t>(c.bytes, c.header + 4, ~0u); }},
+        {"instruction record runs past chunk payload",
+         [](Chunk0 &c) {
+             poke<std::uint32_t>(c.bytes, c.header + 4, 5);
+             c.restampChecksum();
+         }},
+        {"instruction op class out of range", record(0, 0xff)},
+        {"instruction load kind out of range", record(1, 0x7f)},
+        {"instruction flag bits out of range", record(2, 4)},
+        {"instruction source count out of range", record(3, kMaxSrcs + 1)},
+        {"instruction destination count out of range", record(7, 17)},
+        {"instruction memory access size out of range", record(9, 65)},
+        {"varint longer than 64 bits",
+         [](Chunk0 &c) {
+             // The pc delta, the record's first varint, starts after
+             // its 10 fixed bytes.
+             std::fill_n(c.bytes.begin() + c.payload() + 10, 10, '\x80');
+             c.restampChecksum();
+         }},
+    };
+    for (const auto &k : cases) {
+        Chunk0 c = clean;
+        k.corrupt(c);
+        EXPECT_EQ(c.loadError(p.path),
+                  std::string("trace file (v2): ") + k.expected);
+    }
+}
+
+TEST(CorruptionFuzz, EveryTruncationPointFailsCleanly)
+{
+    // Exhaustive over the file's tail: the last chunk, the index
+    // footer and the tail magic (the TraceV2Fuzz sweep strides there).
+    TempPath p("tail_cut.dt2");
+    const std::string full = serializedV2();
+    ASSERT_GT(full.size(), 1024u);
+    for (std::size_t n = full.size() - 512; n < full.size(); ++n)
+        EXPECT_NE(openError(p.path, full.substr(0, n)), "loaded")
+            << "cut at " << n;
+}
+
+TEST(CorruptionFuzz, RandomBitFlipsNeverCrash)
+{
+    // Seeded flips confined to the memory-image section. A flip in a
+    // page address is refused; a flip in page bytes loads, and then
+    // only the image can have changed, never an instruction.
+    const auto orig = WorkloadRegistry::build("viterb", 1500);
+    const std::size_t pages = orig.initialImage.numPages();
+    ASSERT_GT(pages, 0u) << "fuzz target needs a memory image";
+    std::stringstream buf;
+    ASSERT_TRUE(saveTraceV2(orig, buf, 512));
+    const std::string full = buf.str();
+    const std::size_t imageBegin = firstChunkOffset(orig);
+    const std::size_t imageEnd =
+        imageBegin + pages * (8 + MemoryImage::kPageSize);
+
+    TempPath p("image_flip.dt2");
+    std::mt19937_64 rng(0x51eeded5eedULL);
+    std::size_t loaded_ok = 0, rejected = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::string bytes = full;
+        const int nflips = 1 + static_cast<int>(rng() % 4);
+        for (int f = 0; f < nflips; ++f) {
+            // Every fourth flip lands in a page address.
+            const std::size_t page = rng() % pages;
+            const std::size_t at =
+                imageBegin + page * (8 + MemoryImage::kPageSize) +
+                (rng() % 4 == 0 ? rng() % 8
+                                : 8 + rng() % MemoryImage::kPageSize);
+            ASSERT_LT(at, imageEnd);
+            bytes[at] = static_cast<char>(
+                static_cast<unsigned char>(bytes[at]) ^
+                (1u << (rng() % 8)));
+        }
+        if (openError(p.path, bytes) != "loaded") {
+            ++rejected;
+            continue;
+        }
+        ++loaded_ok;
+        Trace t;
+        t.attachStream(ChunkedTraceFile::open(p.path));
+        t.materialize();
+        expectSameInsts(t, orig);
+    }
+    EXPECT_GT(loaded_ok, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(CorruptionFuzz, ThrowingLoaderReportsIoCorrupt)
+{
+    TempPath p("garbage.dt2");
+    expectError(openError(p.path, "definitely not a trace"),
+                "bad magic (not a dlvp v2 trace file)");
+}
+
+TEST(CorruptionFuzz, WrongVersionByteRejected)
+{
+    // Magic prefix intact, but a version that neither is current nor
+    // was ever written.
+    TempPath p("future.dt2");
+    std::string bytes = serializedV2(500);
+    bytes[7] = '9';
+    expectError(openError(p.path, bytes),
+                "bad magic (not a dlvp v2 trace file)");
+}
+
+TEST(CorruptionFuzz, HugeInstructionCountFailsFastWithoutOom)
+{
+    // A well-formed header, chunk area and index footer for 2^33 uops
+    // in 2048 chunks of 2^22, in a file of under 20 KB: the declared
+    // count must be refused at open(), before any chunk is read or any
+    // per-uop allocation is sized from it.
+    constexpr std::uint64_t kChunks = 2048;
+    std::string bytes = "DLVPTRC3";
+    const auto put = [&bytes](auto v) {
+        bytes.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    put(std::uint32_t{1} << 22);
+    put(std::uint64_t{1} << 33);
+    put(std::uint32_t{4});
+    bytes += "huge";
+    put(std::uint32_t{0});
+    put(std::uint64_t{0}); // no pages
+    const std::uint64_t first = bytes.size();
+    bytes.append(kChunks + 16, '\0');
+    const std::uint64_t index = bytes.size();
+    for (std::uint64_t ci = 0; ci < kChunks; ++ci)
+        put(first + ci);
+    put(index);
+    bytes += "DLVPIDX2";
+    ASSERT_LT(bytes.size(), 20000u);
+
+    TempPath p("huge.dt2");
+    writeBytes(p.path, bytes);
+    try {
+        ChunkedTraceFile::open(p.path);
+        FAIL() << "a 2^33-uop declaration in a small file must not open";
+    } catch (const common::RunError &e) {
+        EXPECT_EQ(e.kind(), common::ErrorKind::IoCorrupt);
+        expectError(e.what(), "instruction count exceeds file size");
+    }
+}
+
+TEST(CorruptionFuzz, MisalignedPageAddressRejected)
+{
+    const auto orig = WorkloadRegistry::build("viterb", 500);
+    ASSERT_GT(orig.initialImage.numPages(), 0u)
+        << "fuzz target needs a memory image";
+    std::stringstream buf;
+    ASSERT_TRUE(saveTraceV2(orig, buf));
+    std::string bytes = buf.str();
+    // The first page address follows the u64 page count, which ends
+    // where a pageless file's chunk 0 would start.
+    bytes[firstChunkOffset(orig)] |= 1;
+    TempPath p("misaligned.dt2");
+    expectError(openError(p.path, bytes), "page address not page-aligned");
+}
+
+TEST(CorruptionFuzz, FaultPlanCorruptsFileLoads)
+{
+    // The CLI's --fault-plan reaches the trace file runfile opens.
+    const auto orig = WorkloadRegistry::build("viterb", 500);
+    TempPath p("fault_cli.dt2");
+    ASSERT_TRUE(saveTraceFileV2(orig, p.path, 256));
+    std::string err;
+    EXPECT_EQ(runCli("runfile " + p.path, err), 0) << err;
+    EXPECT_EQ(runCli("runfile " + p.path + " --fault-plan trunc:64", err),
+              1);
+    expectError(err, "io_corrupt");
+    EXPECT_EQ(runCli("runfile " + p.path + " --fault-plan flip:7.2", err),
+              1);
+    expectError(err, "io_corrupt: trace file (v2): bad magic");
+}
 TEST(TraceV2Fuzz, FaultPlanCorruptsStreamingOpen)
 {
     const auto orig = WorkloadRegistry::build("viterb", 2000);
@@ -1026,24 +1358,16 @@ TEST(Sampler, IntervalFailureMatchesSerial)
 TEST(Cli, ZeroUopTraceIsAStructuredError)
 {
     TempPath trace("zero_uops.dt2");
-    TempPath err("zero_uops.err");
     Trace empty;
     empty.name = "empty";
     ASSERT_TRUE(saveTraceFileV2(empty, trace.path));
-    const std::string cli = DLVP_CLI_BIN;
     for (const std::string &args :
          {"runfile " + trace.path, "runfile " + trace.path + " --sample",
           std::string("run mcf --insts 0"),
           std::string("run mcf --insts 0 --sample")}) {
-        const std::string cmd =
-            cli + " " + args + " >/dev/null 2>" + err.path;
-        const int status = std::system(cmd.c_str());
-        ASSERT_TRUE(WIFEXITED(status)) << args;
-        EXPECT_EQ(WEXITSTATUS(status), 1) << args;
-        std::ifstream is(err.path);
-        const std::string msg((std::istreambuf_iterator<char>(is)),
-                              std::istreambuf_iterator<char>());
-        expectError(msg, "internal: speedup is undefined");
+        std::string err;
+        EXPECT_EQ(runCli(args, err), 1) << args;
+        expectError(err, "internal: speedup is undefined");
     }
 }
 

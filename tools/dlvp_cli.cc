@@ -1,7 +1,8 @@
 /**
  * @file
  * Command-line driver for the library: generate, inspect, profile,
- * save/load, and simulate workloads without writing C++.
+ * save/load, and simulate workloads without writing C++. Trace files
+ * are dlvp-trace-v2 (trace/trace_v2.hh) in both directions.
  *
  *   dlvp_cli list
  *   dlvp_cli list-configs
@@ -10,11 +11,10 @@
  *   dlvp_cli sweep <workload> [--insts N] [--jobs J]
  *   dlvp_cli suite [--insts N] [--jobs J] [--json FILE]
  *   dlvp_cli profile <workload> [--insts N]
- *   dlvp_cli gen <workload> <file> [--insts N] [--v2]
+ *   dlvp_cli gen <workload> <file> [--insts N] [--chunk-insts N]
  *   dlvp_cli gen-mega <file> [--insts N] [--phases a,b,c] ...
  *   dlvp_cli runfile <file> [--scheme S]
  *   dlvp_cli trace-info <file>
- *   dlvp_cli trace-convert <in> <out> [--to v1|v2]
  *   dlvp_cli serve-request <socket> <workload> [--scheme S] ...
  *   dlvp_cli serve-request <socket> --ping|--stats|--shutdown
  *
@@ -51,7 +51,6 @@
 #include "sim/sweep.hh"
 #include "trace/mega.hh"
 #include "trace/profilers.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_v2.hh"
 #include "trace/workloads.hh"
 
@@ -74,10 +73,9 @@ usage()
         "  suite [opts]                      all schemes x all workloads\n"
         "  profile <workload> [opts]         Figure 1/2 trace profiles\n"
         "  gen <workload> <file> [opts]      generate and save a trace\n"
-        "  gen-mega <file> [opts]            compose a mega trace (v2)\n"
+        "  gen-mega <file> [opts]            compose a mega trace\n"
         "  runfile <file> [opts]             run a saved trace\n"
         "  trace-info <file>                 describe a saved trace\n"
-        "  trace-convert <in> <out> [opts]   re-encode v1 <-> v2\n"
         "  serve-request <socket> <workload> [opts]\n"
         "                                    ask a dlvp-serve daemon\n"
         "                                    for one row (exit 0 ok,\n"
@@ -92,8 +90,7 @@ usage()
         "           suite) --sample-warmup <n> --sample-measure <n>\n"
         "           --sample-period <n> --sample-check (also run the\n"
         "           full trace and report the CPI error)\n"
-        "         --v2 (gen: write dlvp-trace-v2)\n"
-        "         --to v1|v2 --chunk-insts <n> (trace-convert)\n"
+        "         --chunk-insts <n> (gen, gen-mega)\n"
         "         --phases <a,b,c> --phase-insts <n> --density <d>\n"
         "           --name <s> (gen-mega)\n"
         "         --seed <n> --priority <p> --client <name>\n"
@@ -124,11 +121,7 @@ struct Options
     bool dump = false;
     /** Interval sampling; sample.enabled set by --sample*. */
     sim::SampleSpec sample;
-    /** gen: write v2 instead of v1. */
-    bool v2 = false;
-    /** trace-convert target format. */
-    std::string to = "v2";
-    /** v2 chunk size (trace-convert, gen-mega, gen --v2). */
+    /** Trace-file chunk size (gen, gen-mega). */
     std::uint32_t chunkInsts = trace::kDefaultChunkInsts;
     /** gen-mega phase list (comma-separated registry names). */
     std::string phases = "mcf,perlbmk,gzip,crafty";
@@ -200,16 +193,6 @@ parseOptions(int argc, char **argv, int start, Options &opt)
         } else if (a == "--sample-check") {
             opt.sample.enabled = true;
             opt.sample.check = true;
-        } else if (a == "--v2") {
-            opt.v2 = true;
-        } else if (a == "--to" && i + 1 < argc) {
-            opt.to = argv[++i];
-            if (opt.to != "v1" && opt.to != "v2") {
-                std::fprintf(stderr,
-                             "bad --to value '%s' (want v1 or v2)\n",
-                             opt.to.c_str());
-                return false;
-            }
         } else if (a == "--chunk-insts" && i + 1 < argc) {
             const long long v = atoll(argv[++i]);
             if (v < 1 || v > (1 << 24)) {
@@ -494,17 +477,12 @@ cmdGen(const std::string &workload, const std::string &path,
        const Options &opt)
 {
     const auto t = trace::WorkloadRegistry::build(workload, opt.insts);
-    const bool ok = opt.v2
-                        ? trace::saveTraceFileV2(t, path, opt.chunkInsts)
-                        : trace::saveTraceFile(t, path);
-    if (!ok) {
+    if (!trace::saveTraceFileV2(t, path, opt.chunkInsts)) {
         std::fprintf(stderr, "failed to write '%s'\n", path.c_str());
         return 1;
     }
-    std::printf("wrote %zu uops (%zu pages of memory image) to %s "
-                "(%s)\n",
-                t.size(), t.initialImage.numPages(), path.c_str(),
-                opt.v2 ? "v2" : "v1");
+    std::printf("wrote %zu uops (%zu pages of memory image) to %s\n",
+                t.size(), t.initialImage.numPages(), path.c_str());
     return 0;
 }
 
@@ -540,14 +518,10 @@ int
 cmdRunFile(const std::string &path, const Options &opt)
 {
     trace::Trace t;
-    // v2 files attach as a streamed backing (O(chunk) resident); v1
-    // materializes. Either load throws RunError{io_corrupt} with the
-    // precise validation failure (caught in main) instead of a
-    // generic "failed to read".
-    if (trace::isChunkedTraceFile(path))
-        t.attachStream(trace::ChunkedTraceFile::open(path));
-    else
-        trace::loadTraceFileOrThrow(t, path);
+    // Streamed (O(chunk) resident). A malformed file throws
+    // RunError{io_corrupt} with the precise validation failure (caught
+    // in main) instead of a generic "failed to read".
+    t.attachStream(trace::ChunkedTraceFile::open(path));
     if (t.verifyReplay() != t.size()) {
         std::fprintf(stderr, "trace failed functional replay\n");
         return 1;
@@ -555,8 +529,8 @@ cmdRunFile(const std::string &path, const Options &opt)
     core::VpConfig vp;
     if (!sim::configByName(opt.scheme, vp))
         return unknownConfig(opt.scheme);
-    std::printf("%s (%zu uops from %s%s)\n", t.name.c_str(), t.size(),
-                path.c_str(), t.streamed() ? ", streamed v2" : "");
+    std::printf("%s (%zu uops from %s, streamed v2)\n", t.name.c_str(),
+                t.size(), path.c_str());
     if (opt.sample.enabled)
         return runSampledPair(t, vp, opt);
     sim::Simulator simulator(sim::baselineCore(), t.size());
@@ -569,58 +543,25 @@ cmdRunFile(const std::string &path, const Options &opt)
 int
 cmdTraceInfo(const std::string &path)
 {
-    if (trace::isChunkedTraceFile(path)) {
-        const auto f = trace::ChunkedTraceFile::open(path);
-        const double perInst =
-            f->numInsts() ? static_cast<double>(f->encodedBytes()) /
-                                static_cast<double>(f->numInsts())
-                          : 0.0;
-        std::printf(
-            "format      dlvp-trace-v2 (on-disk version %c)\n"
-            "name        %s\n"
-            "suite       %s\n"
-            "uops        %llu\n"
-            "pages       %zu\n"
-            "chunks      %llu x %u uops\n"
-            "file bytes  %llu (%.2f B/uop encoded; v1 would be "
-            "%llu)\n",
-            trace::kChunkedTraceVersion, f->name().c_str(),
-            f->suite().c_str(),
-            static_cast<unsigned long long>(f->numInsts()),
-            f->initialImage().numPages(),
-            static_cast<unsigned long long>(f->numChunks()),
-            f->chunkInsts(),
-            static_cast<unsigned long long>(f->fileBytes()), perInst,
-            static_cast<unsigned long long>(f->numInsts() * 50));
-        return 0;
-    }
-    trace::Trace t;
-    trace::loadTraceFileOrThrow(t, path);
-    std::printf("format      dlvp-trace-v1\n"
+    const auto f = trace::ChunkedTraceFile::open(path);
+    const double perInst =
+        f->numInsts() ? static_cast<double>(f->encodedBytes()) /
+                            static_cast<double>(f->numInsts())
+                      : 0.0;
+    std::printf("format      dlvp-trace-v2 (on-disk version %c)\n"
                 "name        %s\n"
                 "suite       %s\n"
-                "uops        %zu\n"
-                "pages       %zu\n",
-                t.name.c_str(), t.suite.c_str(), t.size(),
-                t.initialImage.numPages());
-    return 0;
-}
-
-int
-cmdTraceConvert(const std::string &in, const std::string &out,
-                const Options &opt)
-{
-    trace::Trace t;
-    trace::loadTraceFileOrThrow(t, in); // v1 materializes, v2 streams
-    const bool ok = opt.to == "v1"
-                        ? trace::saveTraceFile(t, out)
-                        : trace::saveTraceFileV2(t, out, opt.chunkInsts);
-    if (!ok) {
-        std::fprintf(stderr, "failed to write '%s'\n", out.c_str());
-        return 1;
-    }
-    std::printf("converted %zu uops: %s -> %s (%s)\n", t.size(),
-                in.c_str(), out.c_str(), opt.to.c_str());
+                "uops        %llu\n"
+                "pages       %zu\n"
+                "chunks      %llu x %u uops\n"
+                "file bytes  %llu (%.2f B/uop encoded)\n",
+                trace::kChunkedTraceVersion, f->name().c_str(),
+                f->suite().c_str(),
+                static_cast<unsigned long long>(f->numInsts()),
+                f->initialImage().numPages(),
+                static_cast<unsigned long long>(f->numChunks()),
+                f->chunkInsts(),
+                static_cast<unsigned long long>(f->fileBytes()), perInst);
     return 0;
 }
 
@@ -721,9 +662,6 @@ main(int argc, char **argv)
             return cmdRunFile(argv[2], opt);
         if (cmd == "trace-info" && argc >= 3)
             return cmdTraceInfo(argv[2]);
-        if (cmd == "trace-convert" && argc >= 4 &&
-            parseOptions(argc, argv, 4, opt))
-            return cmdTraceConvert(argv[2], argv[3], opt);
         if (cmd == "serve-request" && argc >= 3) {
             // The workload operand is optional for --ping/--stats/
             // --shutdown, so peek before deciding where options start.
