@@ -18,26 +18,63 @@ using trace::TraceInst;
 
 OoOCore::OoOCore(const CoreParams &params, const VpConfig &vp,
                  const trace::Trace &trace)
-    : params_(params), vp_(vp), trace_(trace), mem_(params.memory),
+    : params_(params), vp_(vp), mem_(params.memory),
       tage_({}), ittage_({}), mdp_(),
       lph_(vp.pap.histBits),
-      paq_(vp.paqSize, vp.paqLifetime),
-      archMem_(trace.initialImage),
-      committedMem_(trace.initialImage)
+      paq_(vp.paqSize, vp.paqLifetime)
 {
-    cursor_.reset(trace_);
-    {
-        pred::AccelParams ap;
-        ap.pap = vp_.pap;
-        ap.cap = vp_.cap;
-        ap.strideAp = vp_.strideAp;
-        ap.vtage = vp_.vtage;
-        ap.dvtage = vp_.dvtage;
-        ap.balcvp = vp_.balcvp;
-        ap.hermes = vp_.hermes;
-        ap.tournamentPartition = vp_.tournamentPartition;
-        accel_ = pred::makeAccelerator(vp_.accel, ap);
-    }
+    dlvp_assert(params_.numPhysRegs > kNumArchRegs);
+    initPredictors();
+    readyList_.reserve(params_.iqSize);
+
+    dbgHalt_ = std::getenv("DLVP_DEBUG_HALT") != nullptr;
+    dbgAct_ = std::getenv("DLVP_DEBUG_ACT") != nullptr;
+    dbgWait_ = std::getenv("DLVP_DEBUG_WAIT") != nullptr;
+    dbgLscd_ = std::getenv("DLVP_DEBUG_LSCD") != nullptr;
+    dbgCov_ = std::getenv("DLVP_DEBUG_COV") != nullptr;
+    start(trace);
+}
+
+void
+OoOCore::reset(const trace::Trace &trace)
+{
+    // The hierarchy clears in place (the constructor's lazily zeroed
+    // lines are megabytes); the predictors are small, so they are
+    // rebuilt exactly as the constructor's initializers build them.
+    mem_.clear();
+    tage_ = pred::Tage({});
+    ittage_ = pred::Ittage({});
+    btb_ = pred::Btb();
+    ras_ = pred::Ras();
+    mdp_ = pred::Mdp();
+    vpredScratch_ = pred::AccelValuePredictions();
+    lscd_ = pred::Lscd();
+    lph_ = pred::LoadPathHistory(vp_.pap.histBits);
+    paq_ = Paq(vp_.paqSize, vp_.paqLifetime);
+    initPredictors();
+    start(trace);
+}
+
+void
+OoOCore::dropImages()
+{
+    archMem_.clear();
+    committedMem_.clear();
+}
+
+void
+OoOCore::initPredictors()
+{
+    pred::AccelParams ap;
+    ap.pap = vp_.pap;
+    ap.cap = vp_.cap;
+    ap.strideAp = vp_.strideAp;
+    ap.vtage = vp_.vtage;
+    ap.dvtage = vp_.dvtage;
+    ap.balcvp = vp_.balcvp;
+    ap.hermes = vp_.hermes;
+    ap.tournamentPartition = vp_.tournamentPartition;
+    accel_ = pred::makeAccelerator(vp_.accel, ap);
     accelAddr_ = accel_->predictsAddresses();
     accelValues_ = accel_->predictsValues();
     accelExecTrain_ = accel_->trainsAtExecute();
@@ -49,8 +86,20 @@ OoOCore::OoOCore(const CoreParams &params, const VpConfig &vp,
         // predictors never share an Rng stream.
         accel_->reseedRng(vp_.rngSeed);
     }
-    dlvp_assert(params_.numPhysRegs > kNumArchRegs);
-    freePhys_ = params_.numPhysRegs - kNumArchRegs;
+}
+
+void
+OoOCore::start(const trace::Trace &trace)
+{
+    trace_ = &trace;
+    cursor_.reset(trace);
+    archMem_ = trace.initialImage;
+    committedMem_ = trace.initialImage;
+    archApplied_ = 0;
+    pvtUsed_ = 0;
+    prfPortsUsed_ = 0;
+    ghr_ = 0;
+    indHist_ = 0;
 
     // Size the instruction-window and load-value rings to the maximum
     // number of in-flight sequence numbers (ROB plus the in-order
@@ -58,18 +107,35 @@ OoOCore::OoOCore(const CoreParams &params, const VpConfig &vp,
     const std::size_t cap = std::bit_ceil<std::size_t>(
         params_.robSize + frontendCapacity());
     window_.init(cap);
-    loadValues_.resize(cap);
+    loadValues_.assign(cap, {});
     loadValSeq_.assign(cap, kNoSeq);
     loadValMask_ = cap - 1;
 
-    wheel_.init(wheelHorizon());
-    readyList_.reserve(params_.iqSize);
+    nextFetch_ = 0;
+    nextDispatch_ = 0;
+    committed_ = 0;
+    incompleteBarriers_ = 0;
+    now_ = 0;
+    fetchResumeCycle_ = 0;
+    fetchHaltSeq_ = kNoSeq;
+    iqCount_ = 0;
+    ldqCount_ = 0;
+    stqCount_ = 0;
+    storeSeqs_.clear();
+    storeHead_ = 0;
+    dispatchedCount_ = 0;
+    freePhys_ = params_.numPhysRegs - kNumArchRegs;
+    archProducer_ = {};
+    curFetchGroup_ = kNoAddr;
+    groupLoadCount_ = 0;
 
-    dbgHalt_ = std::getenv("DLVP_DEBUG_HALT") != nullptr;
-    dbgAct_ = std::getenv("DLVP_DEBUG_ACT") != nullptr;
-    dbgWait_ = std::getenv("DLVP_DEBUG_WAIT") != nullptr;
-    dbgLscd_ = std::getenv("DLVP_DEBUG_LSCD") != nullptr;
-    dbgCov_ = std::getenv("DLVP_DEBUG_COV") != nullptr;
+    wheel_.init(wheelHorizon());
+    readyList_.clear();
+    cyclesSkipped_ = 0;
+    flushPending_ = false;
+    flushFrom_ = 0;
+    flushRedirect_ = 0;
+    stats_ = CoreStats{};
 }
 
 OoOCore::~OoOCore() = default;
@@ -188,7 +254,7 @@ OoOCore::fetchStage()
     // access (§3.1.1).
     curFetchGroup_ = kNoAddr;
     unsigned fetched = 0;
-    while (fetched < params_.fetchWidth && nextFetch_ < trace_.size() &&
+    while (fetched < params_.fetchWidth && nextFetch_ < trace_->size() &&
            window_.size() < params_.robSize + frontendCapacity()) {
         const TraceInst &inst = cursor_.at(nextFetch_);
         const Addr group = inst.pc >> 4;
@@ -263,7 +329,7 @@ OoOCore::fetchOne(const TraceInst &inst)
     // ---- branch prediction ----
     if (inst.isControl()) {
         const Addr actual_next =
-            seq + 1 < trace_.size() ? cursor_.at(seq + 1).pc : 0;
+            seq + 1 < trace_->size() ? cursor_.at(seq + 1).pc : 0;
         s.branchActualTarget = actual_next;
         // Non-conditional control is predicted taken; fetchStage
         // reuses this instead of re-querying TAGE.
@@ -1304,7 +1370,7 @@ OoOCore::fastForward(Cycle deadline)
     const bool halted = fetchHaltSeq_ != kNoSeq;
     const bool fetch_blocked =
         halted || now_ < fetchResumeCycle_ ||
-        nextFetch_ >= trace_.size() ||
+        nextFetch_ >= trace_->size() ||
         window_.size() >= params_.robSize + frontendCapacity();
     if (!fetch_blocked)
         return;
@@ -1373,7 +1439,7 @@ OoOCore::fastForward(Cycle deadline)
 
     // Fetch resumes on its own clock (I-cache fill / flush redirect).
     if (!halted && now_ < fetchResumeCycle_ &&
-        nextFetch_ < trace_.size() &&
+        nextFetch_ < trace_->size() &&
         window_.size() < params_.robSize + frontendCapacity())
         next = std::min(next, fetchResumeCycle_);
 
@@ -1419,7 +1485,7 @@ OoOCore::run(std::size_t warmup_insts)
             : WallClock::time_point::max();
     std::uint64_t wall_check = 0;
 
-    while (committed_ < trace_.size()) {
+    while (committed_ < trace_->size()) {
         if (!warm && committed_ >= warmup_insts) {
             // End of warmup: measurement region starts here, as with
             // the paper's simpoint methodology.
@@ -1456,11 +1522,11 @@ OoOCore::run(std::size_t warmup_insts)
                     std::to_string(params_.maxWallMs) +
                     " ms exceeded (committed=" +
                     std::to_string(committed_) + "/" +
-                    std::to_string(trace_.size()) + ")");
+                    std::to_string(trace_->size()) + ")");
         // Guard: after the final commit the machine is empty and
         // event-free; an unconditional call would jump to the
         // deadlock horizon and inflate stats_.cycles.
-        if (committed_ < trace_.size())
+        if (committed_ < trace_->size())
             fastForward(last_commit_cycle + deadlock_limit);
         // Everything below the commit point is dead; for streamed
         // traces this unpins decoded chunks the window has left

@@ -21,6 +21,15 @@ Cache::Cache(const CacheParams &params)
     lines_.reset(static_cast<std::size_t>(num_sets_) * params_.assoc);
 }
 
+void
+Cache::clear()
+{
+    lines_.clear();
+    tick_ = 0;
+    hits_ = 0;
+    misses_ = 0;
+}
+
 unsigned
 Cache::setOf(Addr addr) const
 {

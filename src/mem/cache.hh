@@ -66,6 +66,13 @@ class Cache
     /** Invalidate a block if present. */
     void invalidate(Addr addr);
 
+    /**
+     * Return to the freshly constructed state (every line invalid,
+     * recency tick and counters zero) without reallocating the line
+     * array.
+     */
+    void clear();
+
     const CacheParams &params() const { return params_; }
     unsigned hitLatency() const { return params_.hitLatency; }
     std::uint64_t hits() const { return hits_; }

@@ -14,6 +14,20 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
 {
 }
 
+void
+MemoryHierarchy::clear()
+{
+    l1i_.clear();
+    l1d_.clear();
+    l2_.clear();
+    l3_.clear();
+    tlb_.clear();
+    l1Prefetcher_.clear();
+    pf_scratch_.clear();
+    pf_issued_ = 0;
+    pendingFills_.clear();
+}
+
 unsigned
 MemoryHierarchy::missLatency(Addr addr)
 {

@@ -96,6 +96,14 @@ class MemoryHierarchy
         tlb_.resetStats();
     }
 
+    /**
+     * Return to the freshly constructed state: every cache level and
+     * the TLB empty, the prefetcher untrained, no fill pending, every
+     * counter zero. Keeps the line arrays, so a core reused across
+     * sampled intervals does not reallocate its megabyte-sized L3.
+     */
+    void clear();
+
     const HierarchyParams &params() const { return params_; }
 
   private:

@@ -1,5 +1,7 @@
 #include "prefetcher.hh"
 
+#include <algorithm>
+
 #include "common/bits.hh"
 #include "common/logging.hh"
 
@@ -10,6 +12,13 @@ StridePrefetcher::StridePrefetcher(const StridePrefetcherParams &params)
     : params_(params), table_(params.entries)
 {
     dlvp_assert(isPowerOfTwo(params.entries));
+}
+
+void
+StridePrefetcher::clear()
+{
+    std::fill(table_.begin(), table_.end(), Entry{});
+    issued_ = 0;
 }
 
 void

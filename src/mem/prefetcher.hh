@@ -40,6 +40,9 @@ class StridePrefetcher
 
     std::uint64_t issued() const { return issued_; }
 
+    /** Invalidate every entry and zero the issue count. */
+    void clear();
+
   private:
     struct Entry
     {

@@ -46,6 +46,8 @@ class Tlb
     std::uint64_t hits() const { return tags_.hits(); }
     std::uint64_t misses() const { return tags_.misses(); }
     void resetStats() { tags_.resetStats(); }
+    /** Forget every translation and zero the counters. */
+    void clear() { tags_.clear(); }
     const TlbParams &params() const { return params_; }
 
   private:

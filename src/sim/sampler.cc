@@ -54,28 +54,56 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
     validateSpec(sample);
     if (jobs == 0)
         jobs = ThreadPool::defaultJobs();
-    // The calling thread walks the trace; up to two workers simulate
-    // intervals beside it. Each in-flight interval holds a slice and a
-    // core, and a third worker pushed the mega-sampled peak RSS past
-    // the serial run's (DESIGN.md §13.3).
-    const unsigned workers = std::min(jobs - 1, 2u);
+    // The calling thread walks the trace; up to three workers simulate
+    // intervals beside it (DESIGN.md §13.3).
+    const unsigned workers = std::min(jobs - 1, 3u);
 
-    const auto simulate = [&params, &vp, &sample](
-                              const trace::Trace &slice) {
-        core::OoOCore core(params, vp, slice);
-        return core.run(sample.warmupInsts);
+    /**
+     * One worker's buffers, kept for the whole run: interval i runs in
+     * slot i % slots. The slice is refilled in place and the core is
+     * reset onto it, so a run allocates each slot's 3.4 MB slice and
+     * its core once instead of once per interval.
+     */
+    struct Slot
+    {
+        trace::Trace slice;
+        std::optional<core::OoOCore> core;
+    };
+    const std::size_t window = sample.warmupInsts + sample.measureInsts;
+    const unsigned numSlots = std::max(workers, 1u);
+    const auto slots = std::make_unique<Slot[]>(numSlots);
+    // Size every slice buffer before the walk starts copying image
+    // pages, so those small long-lived copies do not land between the
+    // buffers and fragment the heap around them (DESIGN.md §13.3).
+    for (unsigned k = 0; k < numSlots; ++k)
+        slots[k].slice.insts.reserve(std::min(window, trace.size()));
+    const auto simulate = [&params, &vp, &sample](Slot &slot) {
+        if (slot.core)
+            slot.core->reset(slot.slice);
+        else
+            slot.core.emplace(params, vp, slot.slice);
+        core::OoOCore &core = *slot.core;
+        core::CoreStats stats;
+        try {
+            stats = core.run(sample.warmupInsts);
+        } catch (...) {
+            core.dropImages();
+            throw;
+        }
+        core.dropImages();
+        return stats;
     };
 
     /**
-     * An interval handed to a worker. The walker owns the slice until
-     * it has joined the result: the slice's image shares pages with
-     * the walker's running image, and while it holds them the walker
-     * copies a page before writing it instead of writing a page the
-     * worker may still read.
+     * An interval handed to a worker. The walker keeps the slot's
+     * slice image until it has joined the result: that image shares
+     * pages with the walker's running image, and while it holds them
+     * the walker copies a page before writing it instead of writing a
+     * page the worker may still read.
      */
     struct InFlight
     {
-        std::unique_ptr<const trace::Trace> slice;
+        Slot *slot;
         std::future<core::CoreStats> stats;
     };
     SampledRun out;
@@ -94,6 +122,7 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
             if (!error)
                 error = std::current_exception();
         }
+        inflight.front().slot->slice.initialImage.clear();
         inflight.pop_front();
     };
     // Declared last so that on every path its destructor joins the
@@ -113,8 +142,9 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
         // determinism anchor.
         trace::MemoryImage image = trace.initialImage;
         std::size_t pos = 0; // image holds the memory state as of pos
+        std::size_t interval = 0;
         for (std::size_t start = 0; start < trace.size();
-             start += sample.periodInsts) {
+             start += sample.periodInsts, ++interval) {
             // Join intervals that have already finished, oldest first:
             // their slices then stop sharing pages with the image, so
             // the fast-forward writes those pages in place instead of
@@ -130,27 +160,29 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
             const std::size_t avail = trace.size() - start;
             if (avail <= sample.warmupInsts)
                 break; // no measurable instructions left in the tail
-            const std::size_t count = std::min(
-                avail, sample.warmupInsts + sample.measureInsts);
-            // Bounded window: at most `workers` slices alive at once.
+            const std::size_t count = std::min(avail, window);
+            // Bounded window: at most `workers` intervals in flight,
+            // so the oldest one, which used this slot, has joined.
             if (pool && inflight.size() == workers) {
                 joinOldest();
                 if (error)
                     break;
             }
-            auto slice = std::make_unique<const trace::Trace>(
-                trace::sliceAndAdvance(trace, image, start, count));
+            Slot &slot = slots[interval % numSlots];
+            trace::sliceAndAdvance(trace, image, start, count,
+                                   slot.slice);
             pos = start + count;
             if (!pool) {
-                out.stats.accumulate(simulate(*slice));
+                const core::CoreStats stats = simulate(slot);
+                slot.slice.initialImage.clear();
+                out.stats.accumulate(stats);
                 ++out.intervals;
                 continue;
             }
-            const trace::Trace &job = *slice;
-            inflight.push_back({std::move(slice), {}});
+            inflight.push_back({&slot, {}});
             try {
                 inflight.back().stats = pool->submit(
-                    [&simulate, &job] { return simulate(job); });
+                    [&simulate, &slot] { return simulate(slot); });
             } catch (...) {
                 inflight.pop_back(); // never queued: nothing to join
                 throw;

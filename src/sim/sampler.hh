@@ -21,22 +21,30 @@
  * slice's end and every instruction is decoded exactly once.
  *
  * Pipeline: the calling thread is the only trace walker. It hands
- * each interval's slice to one of at most two workers, which run a
- * fresh core over it while the walk goes on to the next interval. At
- * most one interval per worker is in flight: the walker joins the
- * oldest before it builds the next slice, so at most `workers` slices
- * and cores are alive at once (and joins finished ones before each
- * fast-forward, so their slices release their image pages). Results
- * are joined in interval order. The first failure in interval order is
- * the one thrown, as in a serial run; a walker error (a corrupt
- * chunk) propagates only after the in-flight intervals have joined.
+ * each interval's slice to one of at most three workers, which run a
+ * core over it while the walk goes on to the next interval. At most
+ * one interval per worker is in flight: the walker joins the oldest
+ * before it builds the next slice (and joins finished ones before
+ * each fast-forward, so their slices release their image pages).
+ * Results are joined in interval order. The first failure in interval
+ * order is the one thrown, as in a serial run; a walker error (a
+ * corrupt chunk) propagates only after the in-flight intervals have
+ * joined.
+ *
+ * Ownership: each worker slot owns one slice buffer and one core for
+ * the whole run. The walker refills the slice in place
+ * (trace::sliceAndAdvance keeps its capacity) and the worker resets
+ * the core onto it (OoOCore::reset), so a run allocates each slot's
+ * buffers once instead of once per interval, and a finished slot
+ * drops its image-page references before the next fast-forward.
  *
  * Determinism: interval boundaries are instruction indices derived
  * from (trace size, SampleSpec) alone — never wall time — each
- * interval simulates a materialized slice seeded only by the spec,
- * and the stats are summed in interval order, so sampled CoreStats
- * are bit-identical across interval worker counts, sweep job counts
- * and scheduling orders (ctest label `mega`).
+ * interval simulates a materialized slice seeded only by the spec on
+ * a core in its constructed state, and the stats are summed in
+ * interval order, so sampled CoreStats are bit-identical across
+ * interval worker counts, sweep job counts and scheduling orders
+ * (ctest label `mega`).
  *
  * Streaming: slices materialize O(warmup + measure) instructions at a
  * time via Trace::slice, so sampling a v2-backed streamed trace
@@ -95,7 +103,7 @@ double cpiError(const SampledRun &sampled, const core::CoreStats &full);
  * to the caller like Simulator::run does.
  *
  * @p jobs bounds the threads the run uses: the caller walks the trace
- * and min(jobs - 1, 2) workers simulate intervals beside it; 1 runs
+ * and min(jobs - 1, 3) workers simulate intervals beside it; 1 runs
  * every interval on the calling thread, 0 means
  * ThreadPool::defaultJobs(). Callers that already run sampled cells
  * in parallel (runSweep) pass 1.

@@ -54,19 +54,34 @@ Trace::forEachSpan(
               });
 }
 
+namespace
+{
+
+/** Copy instructions [begin, begin+count) and the names into @p sub. */
+void
+fillSlice(const Trace &trace, std::size_t begin, std::size_t count,
+          Trace &sub)
+{
+    sub.name = trace.name;
+    sub.suite = trace.suite;
+    sub.insts.clear();
+    sub.insts.reserve(count);
+    trace.forEachSpan(begin, begin + count,
+                      [&sub](const TraceInst *first, std::size_t n) {
+                          sub.insts.insert(sub.insts.end(), first,
+                                           first + n);
+                      });
+}
+
+} // namespace
+
 Trace
 Trace::slice(std::size_t begin, std::size_t count,
              MemoryImage image) const
 {
     Trace sub;
-    sub.name = name;
-    sub.suite = suite;
+    fillSlice(*this, begin, count, sub);
     sub.initialImage = std::move(image);
-    sub.insts.reserve(count);
-    forEachSpan(begin, begin + count,
-                [&sub](const TraceInst *first, std::size_t n) {
-                    sub.insts.insert(sub.insts.end(), first, first + n);
-                });
     return sub;
 }
 
@@ -160,13 +175,13 @@ advanceImage(MemoryImage &image, const Trace &trace,
                       });
 }
 
-Trace
+void
 sliceAndAdvance(const Trace &trace, MemoryImage &image,
-                std::size_t begin, std::size_t count)
+                std::size_t begin, std::size_t count, Trace &slice)
 {
-    Trace sub = trace.slice(begin, count, image);
-    replayStores(image, sub.insts.data(), sub.insts.size());
-    return sub;
+    fillSlice(trace, begin, count, slice);
+    slice.initialImage = image;
+    replayStores(image, slice.insts.data(), slice.insts.size());
 }
 
 } // namespace dlvp::trace

@@ -152,14 +152,17 @@ void advanceImage(MemoryImage &image, const Trace &trace,
 
 /**
  * trace.slice(begin, count, image) then advanceImage(image, trace,
- * begin, begin + count), decoding the window once: the slice runs
- * against a copy-on-write snapshot of @p image (the state at @p
+ * begin, begin + count), decoding the window once and refilling
+ * @p slice in place: its instruction vector keeps its capacity, so a
+ * buffer reused across intervals is allocated once per run. The slice
+ * runs against a copy-on-write snapshot of @p image (the state at @p
  * begin), and @p image leaves holding the state at begin + count,
  * replayed from the slice's own copy of the instructions. The
  * sampler's per-interval step (sim/sampler.hh).
  */
-Trace sliceAndAdvance(const Trace &trace, MemoryImage &image,
-                      std::size_t begin, std::size_t count);
+void sliceAndAdvance(const Trace &trace, MemoryImage &image,
+                     std::size_t begin, std::size_t count,
+                     Trace &slice);
 
 } // namespace dlvp::trace
 

@@ -1179,9 +1179,9 @@ referenceSampled(const Trace &t, const core::VpConfig &vp,
 
 /**
  * runSampled's thread budgets under test: the calling thread alone,
- * then one, two and (capped) two interval workers.
+ * then one, two, three and (capped) three interval workers.
  */
-constexpr unsigned kSamplerJobs[] = {1, 2, 3, 8};
+constexpr unsigned kSamplerJobs[] = {1, 2, 3, 4, 8};
 
 /**
  * runSampled on a streamed v2 mega trace of @p total uops in
@@ -1293,8 +1293,8 @@ TEST(Sampler, CorruptChunkMidRunIsAStructuredError)
     std::memcpy(&indexOffset, bytes.data() + bytes.size() - 16, 8);
     ASSERT_EQ((bytes.size() - 16 - indexOffset) / 8, 59u);
     // Chunk 37 (uops 37888..38911) lies in the fast-forward to the
-    // fifth interval (start 40000), which the walker runs while the
-    // third and fourth are in flight.
+    // fifth interval (start 40000), which the walker runs while up to
+    // three earlier intervals are in flight.
     std::uint64_t chunk37 = 0;
     std::memcpy(&chunk37, bytes.data() + indexOffset + 8 * 37, 8);
     bytes[chunk37 + 16 + 5] ^= 0x10; // inside the payload
