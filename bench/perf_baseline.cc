@@ -94,20 +94,6 @@ constexpr bool kNativeBuild =
     false;
 #endif
 
-/** Escape backslashes/quotes for embedding in a JSON string. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c >= 0x20 ? c : ' ');
-    }
-    return out;
-}
-
 /** Mega sampled-sweep evidence; recorded != false when the pass ran. */
 struct MegaEvidence
 {
@@ -129,8 +115,8 @@ writePerfJson(std::ostream &os, const std::vector<PerfRow> &rows,
        // MIPS only compares within one (machine, compiler, flags)
        // triple: record where this reference was measured so
        // perf_check can warn on cross-host comparisons.
-       << "  \"host\": {\"cpu\": \"" << jsonEscape(cpuModel())
-       << "\", \"compiler\": \"" << jsonEscape(compilerId())
+       << "  \"host\": {\"cpu\": \"" << sim::jsonEscape(cpuModel())
+       << "\", \"compiler\": \"" << sim::jsonEscape(compilerId())
        << "\", \"native\": " << (kNativeBuild ? "true" : "false")
        << "},\n"
        << "  \"rows\": [\n";

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/run_error.hh"
+#include "sim/report.hh"
 
 namespace dlvp::serve
 {
@@ -332,23 +333,7 @@ parseJson(const std::string &text)
 std::string
 jsonQuote(const std::string &s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    for (const char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            // Match sim/report.cc's jsonEscape: control bytes become
-            // spaces, so quoting never re-expands an error message.
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    out += '"';
-    return out;
+    return '"' + sim::jsonEscape(s) + '"';
 }
 
 } // namespace dlvp::serve

@@ -80,7 +80,10 @@ struct JsonValue
  */
 JsonValue parseJson(const std::string &text);
 
-/** Quote + escape @p s as a JSON string literal (with the quotes). */
+/**
+ * Quote + escape @p s as a JSON string literal (with the quotes); the
+ * escaping is sim::jsonEscape, the one every report writer uses.
+ */
 std::string jsonQuote(const std::string &s);
 
 } // namespace dlvp::serve

@@ -327,6 +327,11 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
             std::lock_guard<std::mutex> lock(qm_);
             depth = queuedTotal_;
         }
+        std::size_t inFlight = 0;
+        {
+            std::lock_guard<std::mutex> lock(im_);
+            inFlight = inflight_.size();
+        }
         std::ostringstream os;
         os << envelopeHead(id) << ", \"status\": \"ok\", "
            << "\"stats\": {\"connections\": " << s.connections
@@ -340,6 +345,7 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
            << ", \"degraded\": " << s.degraded
            << ", \"watchdog_timeouts\": " << s.watchdogTimeouts
            << ", \"queue_depth\": " << depth
+           << ", \"in_flight\": " << inFlight
            << ", \"cache\": {\"entries\": " << cs.entries
            << ", \"hits\": " << cs.hits
            << ", \"misses\": " << cs.misses
@@ -446,6 +452,16 @@ Server::admit(const std::shared_ptr<Connection> &conn,
                 std::chrono::duration<double, std::milli>(
                     job->deadlineMs));
     job->conn = conn;
+    job->keyHash = cacheKeyHash(job->key);
+
+    // A cached row costs no worker, so it is answered here on the
+    // connection thread: a hit never waits behind simulations, and the
+    // limits below guard simulation capacity only.
+    const std::string cached = cachedResponse(*job);
+    if (!cached.empty()) {
+        respondOnce(job, cached);
+        return;
+    }
 
     bool rejected = false;
     {
@@ -459,10 +475,10 @@ Server::admit(const std::shared_ptr<Connection> &conn,
                 job->degraded = true;
                 job->key.sample = opts_.degradeSample;
                 job->key.sample.enabled = true;
+                job->keyHash = cacheKeyHash(job->key);
                 std::lock_guard<std::mutex> slock(sm_);
                 ++stats_.degraded;
             }
-            job->keyHash = cacheKeyHash(job->key);
             auto &dq = queues_[job->client];
             auto pos = dq.end();
             for (auto it = dq.begin(); it != dq.end(); ++it) {
@@ -545,6 +561,37 @@ Server::workerLoop()
     }
 }
 
+std::string
+Server::cachedResponse(const Job &job)
+{
+    const ResultCache::Lookup hit = cache_.lookup(job.keyHash);
+    if (hit.status == ResultCache::Status::Hit) {
+        {
+            std::lock_guard<std::mutex> lock(sm_);
+            ++stats_.hits;
+        }
+        return rowEnvelope(job.id, "hit", job.degraded, job.keyHash,
+                           hit.payload);
+    }
+    if (hit.status == ResultCache::Status::Quarantined) {
+        {
+            std::lock_guard<std::mutex> lock(sm_);
+            ++stats_.quarantined;
+        }
+        sim::JobOutcome out;
+        out.status = sim::JobStatus::Failed;
+        out.errorKind = ErrorKind::IoCorrupt;
+        out.error = "cache entry quarantined: " + hit.reason;
+        out.attempts = 0;
+        return rowEnvelope(job.id, "quarantined", job.degraded,
+                           job.keyHash,
+                           renderOutcomeRow(job.key.workload,
+                                            job.key.config,
+                                            job.key.insts, out));
+    }
+    return {};
+}
+
 void
 Server::execute(const std::shared_ptr<Job> &job)
 {
@@ -572,32 +619,11 @@ Server::execute(const std::shared_ptr<Job> &job)
         }
     }
 
-    ResultCache::Lookup hit = cache_.lookup(job->keyHash);
-    if (hit.status == ResultCache::Status::Hit) {
-        {
-            std::lock_guard<std::mutex> lock(sm_);
-            ++stats_.hits;
-        }
-        respondOnce(job, rowEnvelope(job->id, "hit", job->degraded,
-                                     job->keyHash, hit.payload));
-        return;
-    }
-    if (hit.status == ResultCache::Status::Quarantined) {
-        {
-            std::lock_guard<std::mutex> lock(sm_);
-            ++stats_.quarantined;
-        }
-        sim::JobOutcome out;
-        out.status = sim::JobStatus::Failed;
-        out.errorKind = ErrorKind::IoCorrupt;
-        out.error = "cache entry quarantined: " + hit.reason;
-        out.attempts = 0;
-        respondOnce(job,
-                    rowEnvelope(job->id, "quarantined",
-                                job->degraded, job->keyHash,
-                                renderOutcomeRow(workload, config,
-                                                 job->key.insts,
-                                                 out)));
+    // Admission missed, but the key may have been committed while the
+    // job waited, and a degraded job's sampled key was never looked up.
+    const std::string cached = cachedResponse(*job);
+    if (!cached.empty()) {
+        respondOnce(job, cached);
         return;
     }
     {

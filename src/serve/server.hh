@@ -11,13 +11,16 @@
  *
  * Robustness layers (DESIGN.md §14):
  *
- *  - Admission control: a bounded prioritized queue with per-client
- *    round-robin fairness. Beyond maxQueue the server rejects with a
- *    structured retry_after_ms instead of queueing unboundedly;
- *    request deadlines propagate into SweepSpec::deadlineMs and the
- *    core wall-clock watchdog.
+ *  - Admission control: a cached key is answered (hit or
+ *    quarantined row) on the connection thread before it touches the
+ *    queue, so a hit is never queued, degraded or rejected. Misses
+ *    enter a bounded prioritized queue with per-client round-robin
+ *    fairness. Beyond maxQueue the server rejects with a structured
+ *    retry_after_ms instead of queueing unboundedly; request
+ *    deadlines propagate into SweepSpec::deadlineMs and the core
+ *    wall-clock watchdog.
  *  - Graceful degradation: between degradeQueue and maxQueue,
- *    full-detail requests are shed to interval-sampled runs
+ *    full-detail misses are shed to interval-sampled runs
  *    (sim/sampler) and marked "degraded": true. Degraded rows are
  *    cached under their *sampled* key, never the full-detail key.
  *  - Watchdog: a dedicated thread turns jobs that outlive their
@@ -158,14 +161,26 @@ class Server
     void handleRequest(const std::shared_ptr<Connection> &conn,
                        const JsonValue &req);
 
-    /** Admission control for cmd=run; queues or rejects. */
+    /**
+     * Admission for cmd=run: answers a cached key on the spot,
+     * otherwise queues (possibly degraded) or rejects.
+     */
     void admit(const std::shared_ptr<Connection> &conn,
                const JsonValue &req);
+
+    /**
+     * One cache lookup for @p job's key: the hit or quarantined
+     * envelope, counted in stats_, or empty on a miss (not counted).
+     */
+    std::string cachedResponse(const Job &job);
 
     /** Pop the next job with per-client round-robin fairness. */
     std::shared_ptr<Job> popJob();
 
-    /** Run one cell (cache lookup, simulate, cache fill, respond). */
+    /**
+     * Run one cell (cache lookup again, simulate, cache fill,
+     * respond).
+     */
     void execute(const std::shared_ptr<Job> &job);
 
     /** Send @p payload on @p conn, applying conn: fault rules. */

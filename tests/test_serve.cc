@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -866,6 +867,148 @@ TEST(ServeDaemon, OverloadShedsToDegradedThenRejects)
     EXPECT_EQ(s->find("rejected")->asNumber(-1), 1.0);
     EXPECT_EQ(s->find("degraded")->asNumber(-1), 1.0);
     EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+}
+
+/** Counter @p name of a fresh `stats` reply (-1 if absent). */
+double
+statCounter(ServeClient &client, const char *name)
+{
+    const JsonValue resp = client.request("{\"cmd\": \"stats\"}");
+    const JsonValue *s = resp.find("stats");
+    const JsonValue *v = s != nullptr ? s->find(name) : nullptr;
+    return v != nullptr ? v->asNumber(-1) : -1.0;
+}
+
+TEST(ServeDaemon, CachedKeyIsServedPastAFullQueue)
+{
+    TempDir td;
+    Daemon d;
+    // One worker, every simulated cell stalls 1000 ms, a queue of two
+    // that degrades at depth one: the same limits that reject and
+    // shed misses must not touch a key that is already cached.
+    ASSERT_TRUE(d.start(
+        td.path,
+        {"--workers", "1", "--max-queue", "2", "--degrade-queue", "1",
+         "--degrade-warmup", "1000", "--degrade-measure", "1000",
+         "--degrade-period", "4000", "--fault-plan", "stall:*/*=1000"}));
+    ServeClient client(d.sock, 120000);
+    const std::string cold = client.requestRaw(runReq("mcf", "dlvp"));
+    ASSERT_EQ(strField(cold, "cache"), "miss");
+
+    std::vector<Socket> conns;
+    for (int i = 0; i < 3; ++i) {
+        conns.push_back(connectUnix(d.sock));
+        setSocketTimeouts(conns.back(), 120000);
+    }
+    sendFrame(conns[0], runReq("mcf", "vtage")); // pins the worker
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    sendFrame(conns[1], runReq("mcf", "dlvp", ", \"seed\": 7"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    sendFrame(conns[2], runReq("mcf", "dlvp", ", \"seed\": 8"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // The queue is full (the next miss would be rejected) and the
+    // worker is busy with the stalled job.
+    ASSERT_EQ(statCounter(client, "queue_depth"), 2.0);
+    EXPECT_EQ(statCounter(client, "in_flight"), 1.0);
+    const double rejected = statCounter(client, "rejected");
+    const double degraded = statCounter(client, "degraded");
+    EXPECT_EQ(rejected, 0.0);
+    EXPECT_EQ(degraded, 1.0);
+
+    const std::string warm = client.requestRaw(runReq("mcf", "dlvp"));
+    EXPECT_EQ(strField(warm, "status"), "ok");
+    EXPECT_EQ(strField(warm, "cache"), "hit");
+    EXPECT_NE(warm.find("\"degraded\": false"), std::string::npos);
+    EXPECT_EQ(strField(warm, "key"), strField(cold, "key"));
+    EXPECT_EQ(rowPart(warm), rowPart(cold));
+
+    EXPECT_EQ(statCounter(client, "rejected"), rejected);
+    EXPECT_EQ(statCounter(client, "degraded"), degraded);
+    EXPECT_EQ(statCounter(client, "in_flight"), 1.0)
+        << "the hit must be served while the stalled job still runs";
+    EXPECT_EQ(statCounter(client, "queue_depth"), 2.0);
+    EXPECT_EQ(statCounter(client, "hits"), 1.0);
+
+    std::string r0, r1, r2;
+    ASSERT_TRUE(recvFrame(conns[0], r0));
+    ASSERT_TRUE(recvFrame(conns[1], r1));
+    ASSERT_TRUE(recvFrame(conns[2], r2));
+    EXPECT_EQ(strField(r0, "cache"), "miss");
+    EXPECT_NE(r1.find("\"degraded\": false"), std::string::npos);
+    EXPECT_EQ(strField(r2, "status"), "ok");
+    EXPECT_NE(r2.find("\"degraded\": true"), std::string::npos);
+    EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+}
+
+TEST(ServeDaemon, ConcurrentHitsMatchColdRowsWhileMissesCommit)
+{
+    TempDir td;
+    Daemon d;
+    ASSERT_TRUE(d.start(td.path, {"--workers", "2"}));
+    const std::vector<std::pair<std::string, std::string>> hot = {
+        {"mcf", "dlvp"},
+        {"mcf", "vtage"},
+        {"crafty", "dlvp"},
+        {"crafty", "vtage"}};
+    std::vector<std::string> coldRows;
+    {
+        ServeClient client(d.sock, 120000);
+        for (const auto &[w, c] : hot) {
+            const std::string cold = client.requestRaw(runReq(w, c));
+            EXPECT_EQ(strField(cold, "cache"), "miss") << w << "/" << c;
+            coldRows.push_back(rowPart(cold));
+        }
+    }
+
+    // Four clients read hot keys on their connection threads while a
+    // fifth commits fresh-seed misses through the workers.
+    constexpr int kClients = 4;
+    constexpr int kHitsPerClient = 250;
+    constexpr int kMisses = 10;
+    std::atomic<int> notHit{0};
+    std::atomic<int> wrongRow{0};
+    std::atomic<int> notMiss{0};
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c)
+        threads.emplace_back([&, c] {
+            ServeClient client(d.sock, 120000);
+            for (int i = 0; i < kHitsPerClient; ++i) {
+                const std::size_t k = (c + i) % hot.size();
+                const std::string resp = client.requestRaw(
+                    runReq(hot[k].first, hot[k].second));
+                if (strField(resp, "cache") != "hit")
+                    ++notHit;
+                if (rowPart(resp) != coldRows[k])
+                    ++wrongRow;
+            }
+        });
+    threads.emplace_back([&] {
+        ServeClient client(d.sock, 120000);
+        for (int i = 0; i < kMisses; ++i) {
+            const std::string resp = client.requestRaw(runReq(
+                "mcf", "dlvp", ", \"seed\": " + std::to_string(100 + i)));
+            if (strField(resp, "cache") != "miss")
+                ++notMiss;
+        }
+    });
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(notHit.load(), 0);
+    EXPECT_EQ(wrongRow.load(), 0)
+        << "every hit must be byte-identical to its cold row";
+    EXPECT_EQ(notMiss.load(), 0);
+
+    ServeClient client(d.sock, 120000);
+    const double runs = static_cast<double>(
+        hot.size() + kClients * kHitsPerClient + kMisses);
+    EXPECT_EQ(statCounter(client, "hits") + statCounter(client, "misses"),
+              runs);
+    EXPECT_EQ(statCounter(client, "hits"), kClients * kHitsPerClient);
+    EXPECT_EQ(statCounter(client, "quarantined"), 0.0);
+    // Under TSan a race report turns the daemon's exit status nonzero.
+    const int st = d.shutdownAndWait();
+    EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
 }
 
 TEST(ServeDaemon, WatchdogTurnsHungJobsIntoTimeoutRows)

@@ -36,10 +36,11 @@ usage()
         "usage: dlvp_serve --socket <path> --cache <dir> [options]\n"
         "  --workers <n>             simulation worker threads (2)\n"
         "  --max-queue <n>           admission limit; beyond it\n"
-        "                            requests are rejected with\n"
-        "                            retry_after_ms (32)\n"
+        "                            misses are rejected with\n"
+        "                            retry_after_ms (32); cache hits\n"
+        "                            are always served\n"
         "  --degrade-queue <n>       queue depth at which detailed\n"
-        "                            requests shed to sampled runs\n"
+        "                            misses shed to sampled runs\n"
         "                            marked degraded:true (8)\n"
         "  --insts <n>               default uops per workload trace\n"
         "  --io-timeout-ms <n>       per-connection socket timeout\n"
