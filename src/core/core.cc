@@ -1,10 +1,8 @@
 #include "core.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
-#include <cstdlib>
 
 #include "common/annotations.hh"
 #include "common/logging.hh"
@@ -20,18 +18,11 @@ OoOCore::OoOCore(const CoreParams &params, const VpConfig &vp,
                  const trace::Trace &trace)
     : params_(params), vp_(vp), mem_(params.memory),
       tage_({}), ittage_({}), mdp_(),
-      lph_(vp.pap.histBits),
       paq_(vp.paqSize, vp.paqLifetime)
 {
     dlvp_assert(params_.numPhysRegs > kNumArchRegs);
     initPredictors();
     readyList_.reserve(params_.iqSize);
-
-    dbgHalt_ = std::getenv("DLVP_DEBUG_HALT") != nullptr;
-    dbgAct_ = std::getenv("DLVP_DEBUG_ACT") != nullptr;
-    dbgWait_ = std::getenv("DLVP_DEBUG_WAIT") != nullptr;
-    dbgLscd_ = std::getenv("DLVP_DEBUG_LSCD") != nullptr;
-    dbgCov_ = std::getenv("DLVP_DEBUG_COV") != nullptr;
     start(trace);
 }
 
@@ -49,7 +40,6 @@ OoOCore::reset(const trace::Trace &trace)
     mdp_ = pred::Mdp();
     vpredScratch_ = pred::AccelValuePredictions();
     lscd_ = pred::Lscd();
-    lph_ = pred::LoadPathHistory(vp_.pap.histBits);
     paq_ = Paq(vp_.paqSize, vp_.paqLifetime);
     initPredictors();
     start(trace);
@@ -65,16 +55,8 @@ OoOCore::dropImages()
 void
 OoOCore::initPredictors()
 {
-    pred::AccelParams ap;
-    ap.pap = vp_.pap;
-    ap.cap = vp_.cap;
-    ap.strideAp = vp_.strideAp;
-    ap.vtage = vp_.vtage;
-    ap.dvtage = vp_.dvtage;
-    ap.balcvp = vp_.balcvp;
-    ap.hermes = vp_.hermes;
-    ap.tournamentPartition = vp_.tournamentPartition;
-    accel_ = pred::makeAccelerator(vp_.accel, ap);
+    accel_ = pred::makeAccelerator(vp_.accel, vp_);
+    lph_ = pred::LoadPathHistory(accel_->loadPathBits());
     accelAddr_ = accel_->predictsAddresses();
     accelValues_ = accel_->predictsValues();
     accelExecTrain_ = accel_->trainsAtExecute();
@@ -275,11 +257,6 @@ OoOCore::fetchStage()
             if (s.branchMispredicted) {
                 curFetchGroup_ = kNoAddr;
                 fetchHaltSeq_ = s.seq;
-                if (dbgHalt_)
-                    // dlvp-analyze: allow(hot-path) -- debug-gated
-                    fprintf(stderr, "halt at seq=%llu pc=%llx cls=%d cyc=%llu\n",
-                        (unsigned long long)s.seq, (unsigned long long)inst.pc,
-                        (int)inst.cls, (unsigned long long)now_);
                 break;
             }
             // Predicted-taken control redirects: end the fetch cycle
@@ -390,12 +367,9 @@ OoOCore::fetchOne(const TraceInst &inst)
         // predictValues only writes (and fetch only copies) slots it
         // also sets in the mask.
         pred::AccelValuePredictions &vpred = vpredScratch_;
-        vpred.eligible = false;
         vpred.mask = 0;
         auto astats = accelStats();
         accel_->predictValues(inst, fctx, vpred, astats);
-        if (vpred.eligible)
-            s.vpEligible = true;
         s.vtMask = vpred.mask;
         const unsigned n = std::max<unsigned>(1, inst.numDests);
         for (unsigned d = 0; d < n; ++d)
@@ -419,7 +393,6 @@ OoOCore::fetchOne(const TraceInst &inst)
                     s.apPredicted = true;
                     s.apAddr = pp.addr;
                     s.apSize = pp.size ? pp.size : inst.memSize;
-                    s.apWay = static_cast<std::int8_t>(pp.way);
                     PaqEntry e;
                     e.seq = seq;
                     e.addr = pp.addr;
@@ -521,15 +494,6 @@ OoOCore::activatePredictions(InstState &s)
     s.vpActiveMask = mask;
     s.vpSource = source;
     s.vpWrong = would_be_wrong;
-    if (dbgAct_ && s.seq % 1000 < 3)
-        // dlvp-analyze: allow(hot-path) -- debug-gated
-        fprintf(stderr,
-                "act seq=%llu pc=%llx mask=%x src=%u disp=%llu "
-                "probeReady=%llu\n",
-                (unsigned long long)s.seq,
-                (unsigned long long)s.inst->pc, mask, source,
-                (unsigned long long)now_,
-                (unsigned long long)s.probeReady);
     for (unsigned d = 0; d < n; ++d)
         if (mask & (1u << d))
             s.vpValues[d] = (*values)[d];
@@ -824,31 +788,6 @@ OoOCore::issueStage()
         s.issued = true;
         s.issueCycle = now_;
         stats_.issueWaitCycles += now_ - s.dispatchCycle;
-        if (dbgWait_) {
-            // Atomics: cores may run concurrently in sweep jobs.
-            static std::atomic<std::uint64_t> wait_sum[16],
-                wait_cnt[16];
-            static std::atomic<bool> registered{false};
-            const unsigned c =
-                static_cast<unsigned>(inst.cls) & 15;
-            wait_sum[c] += now_ - s.dispatchCycle;
-            ++wait_cnt[c];
-            if (!registered.exchange(true)) {
-                atexit(+[] {
-                    for (unsigned k = 0; k < 16; ++k) {
-                        const std::uint64_t cnt = wait_cnt[k];
-                        if (cnt)
-                            // dlvp-analyze: allow(hot-path) -- debug
-                            fprintf(stderr, "wait cls=%u avg=%.2f "
-                                            "n=%llu\n",
-                                    k,
-                                    double(wait_sum[k].load()) /
-                                        double(cnt),
-                                    (unsigned long long)cnt);
-                    }
-                });
-            }
-        }
         --iqCount_;
         if (is_mem)
             --ls_free;
@@ -917,8 +856,7 @@ OoOCore::probeStage(unsigned free_ls_lanes)
         const unsigned tlb_lat = mem_.tlb().access(e.addr);
         if (tlb_lat > 0)
             ++stats_.tlbMisses;
-        const auto pr =
-            mem_.probe(e.addr, vp_.pap.wayPrediction ? e.way : -1);
+        const auto pr = mem_.probe(e.addr, e.way);
         ++stats_.l1dAccesses;
         s->probeDone = true;
         if (pr.wayMispredict)
@@ -980,22 +918,6 @@ OoOCore::validatePrediction(InstState &s)
         lscd_.insert(inst.pc);
         accel_->invalidateAddress(inst.pc, s.apSlot, s.lphSnap);
         ++stats_.lscdInserts;
-        if (dbgLscd_)
-            // dlvp-analyze: allow(hot-path) -- debug-gated
-            fprintf(stderr,
-                    "lscd insert pc=%llx site=%llu seq=%llu cyc=%llu "
-                    "addr=%llx nd=%u sz=%u pred=[%llx %llx] "
-                    "act=[%llx %llx]\n",
-                    (unsigned long long)inst.pc,
-                    (unsigned long long)((inst.pc - 0x400000) / 4),
-                    (unsigned long long)s.seq,
-                    (unsigned long long)now_,
-                    (unsigned long long)inst.memAddr,
-                    inst.numDests, inst.memSize,
-                    (unsigned long long)s.vpValues[0],
-                    (unsigned long long)s.vpValues[1],
-                    (unsigned long long)s.actualValues[0],
-                    (unsigned long long)s.actualValues[1]);
     }
     requestFlush(s.seq + 1,
                  s.completeCycle + 1 + vp_.valueCheckPenalty,
@@ -1018,10 +940,6 @@ OoOCore::completeInst(InstState &s)
             fetchHaltSeq_ = kNoSeq;
             fetchResumeCycle_ = s.completeCycle + 1;
             curFetchGroup_ = kNoAddr;
-            if (dbgHalt_)
-                // dlvp-analyze: allow(hot-path) -- debug-gated
-                fprintf(stderr, "resume seq=%llu cyc=%llu\n",
-                    (unsigned long long)s.seq, (unsigned long long)now_);
         }
         if (s.branchMispredicted)
             requestFlush(s.seq + 1, s.completeCycle + 1,
@@ -1290,10 +1208,6 @@ OoOCore::commitStage()
             ++stats_.committedLoads;
             if (accelActive_)
                 ++stats_.vpEligibleLoads;
-            if (s.vpActiveMask && dbgCov_)
-                // dlvp-analyze: allow(hot-path) -- debug-gated
-                fprintf(stderr, "cov pc=%llx\n",
-                        (unsigned long long)inst.pc);
             if (s.vpActiveMask) {
                 ++stats_.vpPredictedLoads;
                 stats_.pvtReads +=

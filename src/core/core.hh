@@ -144,7 +144,6 @@ class OoOCore
         bool mdpWait = false;
 
         // Value prediction.
-        bool vpEligible = false;
         std::uint16_t vtMask = 0; ///< VTAGE per-dest predictions
         std::array<std::uint64_t, trace::kMaxDests> vtValues{};
         std::uint16_t vpActiveMask = 0; ///< delivered to the PVT
@@ -160,7 +159,6 @@ class OoOCore
         bool apPredicted = false;
         Addr apAddr = 0;
         std::uint8_t apSize = 0;
-        std::int8_t apWay = -1;
         bool probeDone = false;
         bool probeHit = false;
         Cycle probeReady = kNoCycle;
@@ -221,7 +219,6 @@ class OoOCore
             branchPredTaken = false;
             branchActualTarget = 0;
             mdpWait = false;
-            vpEligible = false;
             vtMask = 0;
             vpActiveMask = 0;
             vpWrong = false;
@@ -232,7 +229,6 @@ class OoOCore
             apPredicted = false;
             apAddr = 0;
             apSize = 0;
-            apWay = -1;
             probeDone = false;
             probeHit = false;
             probeReady = kNoCycle;
@@ -412,7 +408,7 @@ class OoOCore
     /**
      * Scratch prediction record reused across fetchOne calls so the
      * 16-slot value array is not re-zeroed per instruction; fetch
-     * resets eligible/mask and only reads mask-covered slots.
+     * resets the mask and only reads mask-covered slots.
      */
     pred::AccelValuePredictions vpredScratch_;
     pred::Lscd lscd_;
@@ -497,18 +493,12 @@ class OoOCore
 
     CoreStats stats_;
 
-    // Debug-env flags, cached once per core: getenv() rescans the
-    // whole environment on every call, which is measurable when
-    // queried per issued/committed instruction.
-    bool dbgHalt_ = false;
-    bool dbgAct_ = false;
-    bool dbgWait_ = false;
-    bool dbgLscd_ = false;
-    bool dbgCov_ = false;
-
     static constexpr InstSeqNum kNoSeq = ~InstSeqNum{0};
 
-    /** Build the accelerator and seed the predictors' Rng streams. */
+    /**
+     * Build the accelerator, size the load-path history it reads and
+     * seed the predictors' Rng streams.
+     */
     void initPredictors();
     /** Bind @p trace and reset the functional and pipeline state. */
     void start(const trace::Trace &trace);

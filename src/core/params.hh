@@ -10,13 +10,7 @@
 #include <string>
 
 #include "mem/hierarchy.hh"
-#include "pred/balcvp.hh"
-#include "pred/cap.hh"
-#include "pred/dvtage.hh"
-#include "pred/hermes.hh"
-#include "pred/pap.hh"
-#include "pred/stride_ap.hh"
-#include "pred/vtage.hh"
+#include "pred/accel.hh"
 
 namespace dlvp::core
 {
@@ -100,7 +94,12 @@ enum class VpeDesign : std::uint8_t
     Pvt,             ///< design #3 (the paper's choice) / design #2
 };
 
-struct VpConfig
+/**
+ * Value-prediction configuration: the accelerator's own parameters
+ * (inherited, and handed to pred::makeAccelerator as they are) plus
+ * the core-side machinery around it.
+ */
+struct VpConfig : pred::AccelParams
 {
     /**
      * Registry key of the load accelerator the core runs (see
@@ -126,33 +125,17 @@ struct VpConfig
     unsigned paqLifetime = 8;
     unsigned pvtSize = 32;
 
-    pred::PapParams pap{};
-    pred::CapParams cap{};
-    pred::StrideApParams strideAp{};
-    pred::VtageParams vtage{};
-    pred::DvtageParams dvtage{};
-    pred::BalcvpParams balcvp{};
-    pred::HermesParams hermes{};
-
     /** 1-cycle penalty for checking a predicted value (SS3.2.2). */
     unsigned valueCheckPenalty = 1;
 
     /**
-     * Per-job RNG seed for the predictors' stochastic confidence
-     * updates. 0 keeps each predictor's fixed built-in seed (the seed
-     * repository's historical behaviour). Sweep jobs derive a nonzero
-     * value from (workload, config) — never from thread identity — so
-     * parallel and serial sweeps are bit-identical (see sim/sweep.hh).
+     * RNG seed for the predictors' stochastic confidence updates; 0
+     * keeps each predictor's fixed built-in seed. It is part of the
+     * config, never derived from thread identity, so parallel and
+     * serial sweeps stay bit-identical (dlvp-serve sets it from the
+     * request's "seed").
      */
     std::uint64_t rngSeed = 0;
-
-    /**
-     * Tournament-only: implement the "more intelligent chooser"
-     * future work of SS5.2.3 — partition the loads by suppressing
-     * VTAGE training for loads DLVP already covers correctly, freeing
-     * VTAGE capacity for loads only it can catch.
-     */
-    bool tournamentPartition = false;
 };
 
 } // namespace dlvp::core

@@ -85,7 +85,11 @@ struct AccelParams
     DvtageParams dvtage{};
     BalcvpParams balcvp{};
     HermesParams hermes{};
-    /** Tournament: reserve probe-hit loads for DLVP (Figure 8). */
+    /**
+     * Tournament-only: the "more intelligent chooser" future work of
+     * SS5.2.3. Suppress VTAGE training for loads DLVP already covers
+     * correctly, freeing VTAGE capacity for loads only it can catch.
+     */
     bool tournamentPartition = false;
 };
 
@@ -99,8 +103,6 @@ struct AccelFetchContext
 /** Per-destination value predictions produced at fetch. */
 struct AccelValuePredictions
 {
-    /** The accelerator would predict this instruction class. */
-    bool eligible = false;
     std::uint16_t mask = 0; ///< bit d set = values[d] is predicted
     std::array<std::uint64_t, trace::kMaxDests> values{};
 };
@@ -169,6 +171,12 @@ class LoadAccelerator
     virtual bool predictsValues() const { return false; }
     virtual bool trainsAtExecute() const { return false; }
     virtual bool trainsAtCommit() const { return false; }
+    /**
+     * Width of the load-path history the core keeps for this
+     * accelerator (AccelFetchContext::lph). Schemes that index by
+     * load path size it from their own parameters.
+     */
+    virtual unsigned loadPathBits() const { return 16; }
     /** @} */
 
     /** Fetch: per-destination value predictions for @p inst. */

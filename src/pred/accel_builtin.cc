@@ -79,6 +79,10 @@ class PapDlvpAccel : public LoadAccelerator
     const char *key() const override { return "pap-dlvp"; }
     bool predictsAddresses() const override { return true; }
     bool trainsAtExecute() const override { return true; }
+    unsigned loadPathBits() const override
+    {
+        return pap_.params().histBits;
+    }
 
     AccelAddrPrediction
     predictAddress(const trace::TraceInst &inst, unsigned slot,
@@ -222,7 +226,6 @@ class VtageAccel : public LoadAccelerator
     {
         if (!vtage_.eligible(inst))
             return;
-        out.eligible = true;
         const unsigned n = std::max<unsigned>(1, inst.numDests);
         for (unsigned d = 0; d < n; ++d) {
             const auto p = vtage_.predict(inst, d, ctx.ghr);
@@ -275,7 +278,6 @@ class DvtageAccel : public LoadAccelerator
     {
         if (!dvtage_.eligible(inst))
             return;
-        out.eligible = true;
         const unsigned n = std::max<unsigned>(1, inst.numDests);
         for (unsigned d = 0; d < n; ++d) {
             const auto p = dvtage_.predictSpec(inst, d, ctx.ghr);
@@ -332,6 +334,10 @@ class TournamentAccel : public LoadAccelerator
     bool predictsValues() const override { return true; }
     bool trainsAtExecute() const override { return true; }
     bool trainsAtCommit() const override { return true; }
+    unsigned loadPathBits() const override
+    {
+        return pap_.params().histBits;
+    }
 
     void
     predictValues(const trace::TraceInst &inst,
@@ -340,7 +346,6 @@ class TournamentAccel : public LoadAccelerator
     {
         if (!vtage_.eligible(inst))
             return;
-        out.eligible = true;
         const unsigned n = std::max<unsigned>(1, inst.numDests);
         for (unsigned d = 0; d < n; ++d) {
             const auto p = vtage_.predict(inst, d, ctx.ghr);

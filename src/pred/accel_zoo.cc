@@ -39,7 +39,6 @@ class BalcvpAccel : public LoadAccelerator
         (void)ctx;
         if (!inst.isLoad())
             return;
-        out.eligible = true;
         const unsigned n = std::max<unsigned>(1, inst.numDests);
         for (unsigned d = 0; d < n; ++d) {
             const auto p = balcvp_.predict(inst.pc, d);
@@ -109,7 +108,6 @@ class HermesAccel : public LoadAccelerator
     {
         if (!inst.isLoad())
             return;
-        out.eligible = true;
         // One perceptron read classifies the load; the value tables
         // are only consulted for predicted-slow loads.
         ++stats.lookups;

@@ -469,8 +469,11 @@ Server::admit(const std::shared_ptr<Connection> &conn,
         if (queuedTotal_ >= opts_.maxQueue) {
             rejected = true;
         } else {
+            // A trace no longer than the degrade warmup would sample
+            // to nothing, so such a miss keeps its full detail.
             if (queuedTotal_ >= opts_.degradeQueue &&
-                !job->key.sample.enabled) {
+                !job->key.sample.enabled &&
+                job->key.insts > opts_.degradeSample.warmupInsts) {
                 // Graceful degradation: shed detail, keep answering.
                 job->degraded = true;
                 job->key.sample = opts_.degradeSample;

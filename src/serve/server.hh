@@ -22,7 +22,9 @@
  *  - Graceful degradation: between degradeQueue and maxQueue,
  *    full-detail misses are shed to interval-sampled runs
  *    (sim/sampler) and marked "degraded": true. Degraded rows are
- *    cached under their *sampled* key, never the full-detail key.
+ *    cached under their *sampled* key, never the full-detail key. A
+ *    miss too short to sample (insts <= the degrade warmup) keeps
+ *    its full detail.
  *  - Watchdog: a dedicated thread turns jobs that outlive their
  *    deadline into structured timeout rows while the worker is still
  *    stuck, so a hung simulation can never hang a client or the

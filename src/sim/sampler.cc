@@ -199,6 +199,15 @@ runSampled(const core::CoreParams &params, const core::VpConfig &vp,
         error = walkError;
     if (error)
         std::rethrow_exception(error);
+    // A trace shorter than one warmup leaves nothing to measure; an
+    // empty one is reported as such by the caller's speedup check.
+    if (out.intervals == 0 && trace.size() > 0)
+        throw common::RunError(
+            common::ErrorKind::Internal,
+            "sampled run measured no instruction: the trace has " +
+                std::to_string(trace.size()) +
+                " instructions, not more than warmupInsts=" +
+                std::to_string(sample.warmupInsts));
     return out;
 }
 

@@ -99,8 +99,9 @@ double cpiError(const SampledRun &sampled, const core::CoreStats &full);
  * Run @p vp over @p trace under interval sampling. Deterministic for
  * a given (trace, params, vp, sample) and any @p jobs; throws
  * common::RunError for invalid specs (period < warmup + measure, zero
- * measure) and propagates core RunErrors (deadlock, injected faults)
- * to the caller like Simulator::run does.
+ * measure) and for a non-empty trace no longer than warmupInsts, which
+ * leaves no instruction to measure; propagates core RunErrors
+ * (deadlock, injected faults) to the caller like Simulator::run does.
  *
  * @p jobs bounds the threads the run uses: the caller walks the trace
  * and min(jobs - 1, 3) workers simulate intervals beside it; 1 runs

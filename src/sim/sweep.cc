@@ -342,11 +342,9 @@ runSweep(const SweepSpec &spec)
                 if (const unsigned ms = faults.stallMs(w, cfg_name))
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(ms));
-                core::VpConfig vp = ci == 0
-                                        ? spec.baseline
-                                        : spec.configs[ci - 1].vp;
-                if (spec.perJobSeed)
-                    vp.rngSeed = jobSeed(w, cfg_name);
+                const core::VpConfig &vp = ci == 0
+                                               ? spec.baseline
+                                               : spec.configs[ci - 1].vp;
                 RunPerf perf;
                 core::CoreStats stats;
                 SampleCell scell;

@@ -171,12 +171,6 @@ struct SweepSpec
     /** Worker threads; 0 = DLVP_JOBS env var or hardware threads. */
     unsigned jobs = 0;
     /**
-     * Derive VpConfig::rngSeed from (workload, config name) per job.
-     * Off by default to keep results bit-identical with the seed
-     * repository's fixed predictor seeds.
-     */
-    bool perJobSeed = false;
-    /**
      * Optional progress hook, called once per finished job with the
      * completed count (monotonic per call site, concurrent across
      * workers) and the job total.

@@ -230,6 +230,92 @@ TEST(CoreDlvp, WayPredictionTracksStableBlocks)
     EXPECT_EQ(s.wayMispredicts, 0u);
 }
 
+/**
+ * One L1D set, five blocks: site 0 loads A, sites 1-4 load four
+ * blocks of A's set and evict it, site 5 reloads A into another way,
+ * and a spacer lets it all retire before site 0 comes round again.
+ * A's way moves every iteration, so a trained way hint goes stale.
+ */
+Trace
+wayShuffle(int iters)
+{
+    // 64 KB, 4-way, 64 B lines: blocks 16 KB apart share a set.
+    const Addr a = 0x100000;
+    const Addr setStride = 16 * 1024;
+    Trace t;
+    KernelCtx ctx(t, 5);
+    for (unsigned k = 0; k < 5; ++k)
+        ctx.mem().write(a + k * setStride, 7 + k, 8);
+    ctx.sealInitialImage();
+    for (int i = 0; i < iters; ++i) {
+        Val w = ctx.load(0, a, Val{});
+        for (unsigned k = 1; k <= 4; ++k)
+            w = ctx.load(static_cast<int>(k), a + k * setStride, w);
+        w = ctx.load(5, a, w);
+        for (int k = 0; k < 40; ++k)
+            w = ctx.alu(8 + (k & 7), w.v + k, w);
+    }
+    return t;
+}
+
+TEST(CoreDlvp, WayPredictionOffHasNoWayMispredicts)
+{
+    const auto t = wayShuffle(3000);
+    const auto on = runWith(t, sim::dlvpConfig());
+    ASSERT_GT(on.wayMispredicts, 0u)
+        << "the trace must move A between ways";
+    auto vp = sim::dlvpConfig();
+    vp.pap.wayPrediction = false;
+    const auto off = runWith(t, vp);
+    EXPECT_GT(off.probes, 0u);
+    EXPECT_EQ(off.wayMispredicts, 0u)
+        << "without way prediction every probe searches all ways";
+}
+
+/**
+ * Site 20 loads one of two addresses, chosen by which of sites 10/11
+ * (different load-path bits) ran four loads earlier: only a history
+ * longer than the three filler loads tells the two apart. Each
+ * iteration has 17 loads, so a 16-bit history never sees the previous
+ * iteration's choice and every load's path is fixed by its own.
+ */
+Trace
+pathCorrelated(int iters)
+{
+    const Addr x[2] = {0x200000, 0x300000};
+    Trace t;
+    KernelCtx ctx(t, 9);
+    ctx.mem().write(x[0], 1, 8);
+    ctx.mem().write(x[1], 2, 8);
+    ctx.mem().write(0x400000, 3, 8);
+    ctx.sealInitialImage();
+    for (int i = 0; i < iters; ++i) {
+        const unsigned r = static_cast<unsigned>(ctx.rng().below(2));
+        Val w = ctx.load(10 + static_cast<int>(r), 0x400000, Val{});
+        for (int k = 0; k < 3; ++k)
+            w = ctx.load(13 + k, 0x400000, w);
+        w = ctx.load(20, x[r], w);
+        for (int k = 0; k < 12; ++k)
+            w = ctx.load(24 + k, 0x400000, w);
+    }
+    return t;
+}
+
+TEST(CoreDlvp, PapHistoryWidthReachesTheCore)
+{
+    const auto t = pathCorrelated(4000);
+    auto wide = sim::dlvpConfig();
+    wide.pap.histBits = 16;
+    auto narrow = wide;
+    narrow.pap.histBits = 2;
+    const auto w = runWith(t, wide);
+    const auto n = runWith(t, narrow);
+    EXPECT_FALSE(w == n)
+        << "the core's load-path history must take PAP's width";
+    EXPECT_GT(w.vpCorrectLoads, n.vpCorrectLoads)
+        << "a 2-bit path cannot see which site chose the address";
+}
+
 TEST(CoreDlvp, MultiDestLoadPredictedWithOneEntry)
 {
     // An LDM with stable values: DLVP predicts the base address and

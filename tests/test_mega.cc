@@ -1392,6 +1392,32 @@ sampledSweep(unsigned jobs)
     return sim::runSweep(spec);
 }
 
+TEST(Sampler, TooShortToMeasureIsAFailedCell)
+{
+    // The default spec warms up for 40000 uops, so an 8000-uop trace
+    // leaves every interval without a measured instruction: the cell
+    // fails with the reason instead of reporting an empty run as ok.
+    sim::SweepSpec spec;
+    spec.workloads = {"mcf"};
+    spec.insts = 8000;
+    spec.core = sim::baselineCore();
+    spec.baseline = sim::baselineVp();
+    spec.configs.push_back({"dlvp", sim::dlvpConfig()});
+    spec.jobs = 1;
+    spec.sample.enabled = true;
+    const auto result = sim::runSweep(spec);
+    ASSERT_EQ(result.rows.size(), 1u);
+    const auto &row = result.rows[0];
+    EXPECT_EQ(row.status(), sim::JobStatus::Failed);
+    for (const auto *o : {&row.baselineOutcome, &row.outcomes[0]}) {
+        EXPECT_EQ(o->status, sim::JobStatus::Failed);
+        EXPECT_EQ(o->errorKind, common::ErrorKind::Internal);
+        expectError(o->error, "the trace has 8000 instructions, not "
+                              "more than warmupInsts=40000");
+    }
+    EXPECT_EQ(result.failedJobs(), 2u);
+}
+
 TEST(Sampler, SweepIsBitIdenticalForAnyJobCountAndScheduling)
 {
     const auto serial = sampledSweep(1);

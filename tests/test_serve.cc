@@ -941,6 +941,47 @@ TEST(ServeDaemon, CachedKeyIsServedPastAFullQueue)
     EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
 }
 
+TEST(ServeDaemon, ShortMissIsNotDegraded)
+{
+    TempDir td;
+    Daemon d;
+    // The default degrade spec warms up for 40000 uops, longer than the
+    // 8000-uop traces served here: shedding such a miss would sample
+    // nothing, so it must queue at full detail even past degradeQueue.
+    ASSERT_TRUE(d.start(
+        td.path,
+        {"--workers", "1", "--max-queue", "2", "--degrade-queue", "1",
+         "--fault-plan", "stall:*/*=1000"}));
+    ServeClient client(d.sock, 120000);
+
+    std::vector<Socket> conns;
+    for (int i = 0; i < 3; ++i) {
+        conns.push_back(connectUnix(d.sock));
+        setSocketTimeouts(conns.back(), 120000);
+    }
+    sendFrame(conns[0], runReq("mcf", "vtage")); // pins the worker
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    sendFrame(conns[1], runReq("mcf", "dlvp"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    sendFrame(conns[2], runReq("mcf", "dlvp", ", \"seed\": 8"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    ASSERT_EQ(statCounter(client, "queue_depth"), 2.0);
+    EXPECT_EQ(statCounter(client, "degraded"), 0.0);
+
+    std::string r0, r1, r2;
+    ASSERT_TRUE(recvFrame(conns[0], r0));
+    ASSERT_TRUE(recvFrame(conns[1], r1));
+    ASSERT_TRUE(recvFrame(conns[2], r2));
+    for (const std::string *r : {&r0, &r1, &r2}) {
+        EXPECT_EQ(strField(*r, "status"), "ok") << *r;
+        EXPECT_NE(r->find("\"degraded\": false"), std::string::npos)
+            << *r;
+    }
+    EXPECT_EQ(statCounter(client, "degraded"), 0.0);
+    EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+}
+
 TEST(ServeDaemon, ConcurrentHitsMatchColdRowsWhileMissesCommit)
 {
     TempDir td;

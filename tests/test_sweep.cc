@@ -187,23 +187,6 @@ TEST(Sweep, ParallelIsBitIdenticalToSerial)
     }
 }
 
-TEST(Sweep, PerJobSeedStaysDeterministic)
-{
-    TraceStore store_a, store_b;
-    auto a = smallSpec(8);
-    a.perJobSeed = true;
-    a.store = &store_a;
-    auto b = smallSpec(2);
-    b.perJobSeed = true;
-    b.store = &store_b;
-    const auto ra = runSweep(a);
-    const auto rb = runSweep(b);
-    for (std::size_t wi = 0; wi < ra.rows.size(); ++wi)
-        for (std::size_t ci = 0; ci < ra.rows[wi].results.size(); ++ci)
-            EXPECT_TRUE(ra.rows[wi].results[ci] ==
-                        rb.rows[wi].results[ci]);
-}
-
 TEST(Sweep, JobSeedDependsOnlyOnNames)
 {
     EXPECT_EQ(jobSeed("mcf", "dlvp"), jobSeed("mcf", "dlvp"));
