@@ -487,73 +487,6 @@ TEST(AnalyzeJson, EmitsSchemaEscapedFieldsAndCount)
 }
 
 // ---------------------------------------------------------------------
-// Incremental cache
-// ---------------------------------------------------------------------
-
-// A warm run must replay byte-identical findings, and an edit must
-// invalidate exactly that file: after swapping the trip fixture for
-// the clean one, the warm result equals a cold run on the new text.
-TEST(AnalyzeCache, WarmRunReplaysAndEditInvalidates)
-{
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "dlvp_analyze_cache";
-    fs::create_directories(dir);
-    const fs::path src = dir / "guarded.cc";
-    fs::copy_file(fixture("lock_bad.cc"), src,
-                  fs::copy_options::overwrite_existing);
-
-    AnalyzeConfig config;
-    config.files = {src.string()};
-    config.rules = {"lock-discipline"};
-    config.cachePath = (dir / "analyze.cache").string();
-
-    const auto cold = runAnalysis(config);
-    ASSERT_FALSE(cold.empty());
-    ASSERT_TRUE(fs::exists(config.cachePath));
-
-    const auto warm = runAnalysis(config);
-    ASSERT_EQ(cold.size(), warm.size());
-    for (std::size_t i = 0; i < cold.size(); ++i) {
-        EXPECT_EQ(cold[i].rule, warm[i].rule);
-        EXPECT_EQ(cold[i].file, warm[i].file);
-        EXPECT_EQ(cold[i].line, warm[i].line);
-        EXPECT_EQ(cold[i].message, warm[i].message);
-    }
-
-    fs::copy_file(fixture("lock_clean.cc"), src,
-                  fs::copy_options::overwrite_existing);
-    const auto warmEdited = runAnalysis(config);
-
-    AnalyzeConfig fresh = config;
-    fresh.cachePath = (dir / "fresh.cache").string();
-    const auto coldEdited = runAnalysis(fresh);
-    EXPECT_EQ(warmEdited.size(), coldEdited.size());
-    EXPECT_TRUE(warmEdited.empty());
-}
-
-// Suppression uses are cached too: a warm stale-suppression pass must
-// agree with the cold one instead of flagging every cached allow.
-TEST(AnalyzeCache, WarmStaleSuppressionMatchesCold)
-{
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "dlvp_analyze_cache_stale";
-    fs::create_directories(dir);
-    AnalyzeConfig config;
-    config.files = {fixture("stale_clean.cc")};
-    config.rules = {"determinism", "stale-suppression"};
-    config.cachePath = (dir / "analyze.cache").string();
-
-    const auto cold = runAnalysis(config);
-    EXPECT_TRUE(cold.empty());
-    const auto warm = runAnalysis(config);
-    EXPECT_TRUE(warm.empty())
-        << warm.front().file << ":" << warm.front().line << ": "
-        << warm.front().message;
-}
-
-// ---------------------------------------------------------------------
 // Acceptance: the shipped source tree lints clean
 // ---------------------------------------------------------------------
 

@@ -1371,6 +1371,24 @@ TEST(Cli, ZeroUopTraceIsAStructuredError)
     }
 }
 
+// Integer options are range-checked: a value with trailing
+// characters, a sign, whitespace, or out of range exits 2 with a
+// message naming the option before any trace is built.
+TEST(Cli, MalformedNumericOptionExitsTwo)
+{
+    for (const char *args :
+         {"run mcf --insts 12x", "run mcf --insts -1",
+          "run mcf --insts 18446744073709551616", "run mcf --insts ' 5'",
+          "run mcf --sample-period 1e3", "sweep mcf --jobs 4097",
+          "gen-mega unused.dt2 --chunk-insts 0",
+          "serve-request unused.sock mcf --seed -3"}) {
+        std::string err;
+        EXPECT_EQ(runCli(args, err), 2) << args;
+        EXPECT_NE(err.find("bad --"), std::string::npos)
+            << args << ": " << err;
+    }
+}
+
 /** Sampled sweep over the mega workload, parameterized by jobs. */
 sim::SweepResult
 sampledSweep(unsigned jobs)

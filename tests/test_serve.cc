@@ -542,6 +542,7 @@ struct Daemon
     std::string sock;
     std::string cacheDir;
     std::string outPath;
+    int exitStatus = -1; ///< waitpid status when start() saw an exit
 
     ~Daemon()
     {
@@ -595,8 +596,7 @@ struct Daemon
             if (readFile(outPath).find("dlvp-serve: listening") !=
                 std::string::npos)
                 return true;
-            int st = 0;
-            if (::waitpid(pid, &st, WNOHANG) == pid) {
+            if (::waitpid(pid, &exitStatus, WNOHANG) == pid) {
                 pid = -1;
                 return false;
             }
@@ -670,6 +670,34 @@ TEST(ServeDaemon, MissThenHitIsByteIdenticalAndCounted)
 
     const int st = d.shutdownAndWait();
     EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+}
+
+// Integer options are range-checked: a value with trailing
+// characters, a sign, or out of range exits 2 with a message naming
+// the option before the daemon binds its socket or spawns a worker.
+TEST(ServeDaemon, MalformedNumericOptionExitsTwoBeforeBinding)
+{
+    const std::vector<std::vector<std::string>> bad = {
+        {"--max-queue", "-1"},      {"--workers", "2x"},
+        {"--workers", "-1"},        {"--workers", "4097"},
+        {"--insts", "12x"},         {"--io-timeout-ms", "4294967296"},
+        {"--degrade-period", " 5"},
+    };
+    for (const auto &extra : bad) {
+        TempDir td;
+        Daemon d;
+        const std::string arg = extra[0] + " " + extra[1];
+        ASSERT_FALSE(d.start(td.path, extra)) << arg;
+        EXPECT_TRUE(WIFEXITED(d.exitStatus) &&
+                    WEXITSTATUS(d.exitStatus) == 2)
+            << arg;
+        EXPECT_FALSE(fs::exists(d.sock)) << arg;
+        const std::string out = readFile(d.outPath);
+        EXPECT_NE(out.find("bad " + extra[0] + " value '" + extra[1] +
+                           "'"),
+                  std::string::npos)
+            << out;
+    }
 }
 
 TEST(ServeDaemon, RestartServesTheSameBytesFromDisk)

@@ -10,7 +10,6 @@
 #include <set>
 #include <sstream>
 
-#include "cache.hh"
 #include "model.hh"
 #include "rules.hh"
 
@@ -26,9 +25,6 @@ using detail::Token;
 
 namespace
 {
-
-/** Folded into the cache's config hash: bump on any rule change. */
-constexpr const char *kAnalyzerVersion = "dlvp-analyze-v2";
 
 // ---------------------------------------------------------------------
 // Rule: determinism
@@ -856,27 +852,6 @@ runAnalysis(const AnalyzeConfig &config)
     if (ruleEnabled(config, kRuleHotPath))
         ranRules.insert(kRuleHotPath);
 
-    // ---- Config hash: gates the whole incremental cache ----------
-    std::uint64_t configHash = fnv1a(kAnalyzerVersion);
-    for (const std::string &r : ranRules)
-        configHash = fnv1a(r, configHash ^ 0x9e3779b97f4a7c15ULL);
-    if (ruleEnabled(config, kRuleStaleSuppression))
-        configHash = fnv1a(kRuleStaleSuppression, configHash);
-    configHash = fnv1a(config.statsMacroName, configHash);
-    configHash = fnv1a(config.statsStructName, configHash);
-    configHash = fnv1a(config.rootPath, configHash);
-    configHash = fnv1a(manifest.rawText, configHash);
-    configHash = fnv1a(config.coreStatsPath, configHash);
-    configHash = fnv1a(config.goldenStatsPath, configHash);
-    for (const std::string &p : config.accelSourcePaths)
-        configHash = fnv1a(p, configHash ^ 0xff51afd7ed558ccdULL);
-
-    AnalysisCache oldCache, newCache;
-    newCache.configHash = configHash;
-    const bool haveCache =
-        !config.cachePath.empty() &&
-        loadAnalysisCache(config.cachePath, configHash, oldCache);
-
     // ---- Per-file phase ------------------------------------------
     std::vector<const SourceFile *> loadedPrimaries;
     for (const std::string &path : primaries) {
@@ -889,133 +864,63 @@ runAnalysis(const AnalyzeConfig &config)
         SourceFile *sibling = nullptr;
         if (auto sib = siblingPath(path))
             sibling = load(*sib);
-        const std::uint64_t sibHash =
-            sibling ? sibling->contentHash : 0;
 
-        if (haveCache) {
-            const auto it = oldCache.perFile.find(path);
-            if (it != oldCache.perFile.end() &&
-                it->second.hash == f->contentHash &&
-                it->second.sibHash == sibHash) {
-                findings.insert(findings.end(),
-                                it->second.findings.begin(),
-                                it->second.findings.end());
-                for (const SuppressionUse &u : it->second.uses)
-                    rep.recordUse(u);
-                newCache.perFile.emplace(path, it->second);
-                continue;
-            }
-        }
-
-        std::vector<Finding> local;
-        Reporter localRep(local);
         if (ruleEnabled(config, kRuleDeterminism))
-            runDeterminismRule(*f, sibling, localRep);
+            runDeterminismRule(*f, sibling, rep);
         if (ruleEnabled(config, kRuleSpecState))
-            runSpecStateRule(*f, sibling, localRep);
+            runSpecStateRule(*f, sibling, rep);
         if (ruleEnabled(config, kRuleErrorTaxonomy))
-            runErrorTaxonomyRule(*f, localRep);
+            runErrorTaxonomyRule(*f, rep);
         if (haveManifest)
-            runLayeringRule(*f, manifest, config.rootPath, localRep);
+            runLayeringRule(*f, manifest, config.rootPath, rep);
         if (ruleEnabled(config, kRuleLockDiscipline))
-            runLockDisciplineRule(*f, sibling, localRep);
-
-        FileCacheEntry entry;
-        entry.hash = f->contentHash;
-        entry.sibHash = sibHash;
-        entry.findings = local;
-        entry.uses.assign(localRep.uses().begin(),
-                          localRep.uses().end());
-        findings.insert(findings.end(), local.begin(), local.end());
-        for (const SuppressionUse &u : localRep.uses())
-            rep.recordUse(u);
-        newCache.perFile.emplace(path, std::move(entry));
+            runLockDisciplineRule(*f, sibling, rep);
     }
     findings.insert(findings.end(), manifestFindings.begin(),
                     manifestFindings.end());
 
     // ---- Global phase --------------------------------------------
-    // Out-of-band inputs are loaded (and hashed) up front so the
-    // global key covers them even on the replay path.
-    SourceFile *coreStats = nullptr;
     if (!config.coreStatsPath.empty() &&
         ruleEnabled(config, kRuleStatsRegistry)) {
-        coreStats = load(config.coreStatsPath);
-        if (!coreStats)
+        if (SourceFile *coreStats = load(config.coreStatsPath))
+            runStatsRegistryRule(*coreStats, config.statsMacroName,
+                                 config.statsStructName, rep);
+        else
             findings.push_back({"usage", config.coreStatsPath, 0,
                                 "cannot read stats header"});
     }
-    SourceFile *golden = nullptr;
-    std::vector<SourceFile *> accelSources;
     if (!config.goldenStatsPath.empty() &&
         !config.accelSourcePaths.empty() &&
         ruleEnabled(config, kRuleAccelRegistry)) {
-        golden = load(config.goldenStatsPath);
+        SourceFile *golden = load(config.goldenStatsPath);
         if (!golden)
             findings.push_back({"usage", config.goldenStatsPath, 0,
                                 "cannot read golden stats table"});
+        std::vector<SourceFile *> accelSources;
         for (const std::string &p : config.accelSourcePaths) {
             if (SourceFile *sf = load(p))
                 accelSources.push_back(sf);
             else
                 findings.push_back({"usage", p, 0, "cannot read file"});
         }
-    }
-
-    std::uint64_t globalHash = configHash;
-    for (const auto &[path, file] : modelCache) {
-        globalHash = fnv1a(path, globalHash);
-        globalHash ^= file.contentHash;
-        globalHash *= 1099511628211ULL;
-    }
-
-    const bool wantGlobal =
-        coreStats || golden || ruleEnabled(config, kRuleHotPath) ||
-        ruleEnabled(config, kRuleStaleSuppression);
-    if (wantGlobal && haveCache && oldCache.global.valid &&
-        oldCache.global.hash == globalHash) {
-        findings.insert(findings.end(),
-                        oldCache.global.findings.begin(),
-                        oldCache.global.findings.end());
-        newCache.global = oldCache.global;
-    } else if (wantGlobal) {
-        std::vector<Finding> globalFindings;
-        Reporter globalRep(globalFindings);
-
-        if (coreStats)
-            runStatsRegistryRule(*coreStats, config.statsMacroName,
-                                 config.statsStructName, globalRep);
         if (golden)
-            runAccelRegistryRule(accelSources, *golden, globalRep);
-
-        if (ruleEnabled(config, kRuleHotPath)) {
-            std::vector<const SourceFile *> indexed;
-            for (const auto &[path, file] : modelCache)
-                if (isSourceExt(path))
-                    indexed.push_back(&file);
-            const FunctionIndex index = buildFunctionIndex(indexed);
-            runHotPathRule(index, globalRep);
-        }
-
-        if (ruleEnabled(config, kRuleStaleSuppression)) {
-            std::set<SuppressionUse> used = rep.uses();
-            used.insert(globalRep.uses().begin(),
-                        globalRep.uses().end());
-            runStaleSuppressionRule(loadedPrimaries, used, ranRules,
-                                    globalRep);
-        }
-
-        findings.insert(findings.end(), globalFindings.begin(),
-                        globalFindings.end());
-        newCache.global.valid = true;
-        newCache.global.hash = globalHash;
-        newCache.global.findings = std::move(globalFindings);
-        newCache.global.uses.assign(globalRep.uses().begin(),
-                                    globalRep.uses().end());
+            runAccelRegistryRule(accelSources, *golden, rep);
     }
 
-    if (!config.cachePath.empty())
-        saveAnalysisCache(config.cachePath, newCache);
+    if (ruleEnabled(config, kRuleHotPath)) {
+        std::vector<const SourceFile *> indexed;
+        for (const auto &[path, file] : modelCache)
+            if (isSourceExt(path))
+                indexed.push_back(&file);
+        const FunctionIndex index = buildFunctionIndex(indexed);
+        runHotPathRule(index, rep);
+    }
+
+    // Last: it judges every suppression use the rules above recorded.
+    if (ruleEnabled(config, kRuleStaleSuppression)) {
+        const std::set<SuppressionUse> used = rep.uses();
+        runStaleSuppressionRule(loadedPrimaries, used, ranRules, rep);
+    }
 
     std::sort(findings.begin(), findings.end(),
               [](const Finding &a, const Finding &b) {

@@ -49,9 +49,9 @@
  * source — the same altitude as gem5's style checker and ChampSim's
  * config lints — so it runs in milliseconds with no compiler
  * dependency and is immune to build flags. compile_commands.json
- * (exported by every configured build tree) can supply the file list,
- * and a per-file content-hash cache (--cache) makes warm re-runs
- * cheap enough for every ci_check.
+ * (exported by every configured build tree) can supply the file list.
+ * Every run analyzes the whole set from scratch; a whole-tree run
+ * takes well under a second, cheap enough for every ci_check.
  */
 
 #ifndef DLVP_TOOLS_ANALYZE_ANALYZE_HH
@@ -95,13 +95,6 @@ struct AnalyzeConfig
      * disables the layering rule.
      */
     std::string layersPath;
-
-    /**
-     * Incremental cache file; empty runs cold. A populated cache
-     * replays per-file findings whose file + sibling hashes match and
-     * the cross-file findings when the whole analyzed set matches.
-     */
-    std::string cachePath;
 
     /**
      * Path of the stats header holding the registry X-macro and the

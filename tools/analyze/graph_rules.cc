@@ -94,9 +94,8 @@ loadLayerManifest(const std::string &path, LayerManifest &out,
     std::ostringstream buf;
     buf << in.rdbuf();
     out.path = path;
-    out.rawText = buf.str();
 
-    const std::vector<std::string> lines = splitLines(out.rawText);
+    const std::vector<std::string> lines = splitLines(buf.str());
     for (std::size_t li = 0; li < lines.size(); ++li) {
         const unsigned lineNo = static_cast<unsigned>(li + 1);
         std::string line = lines[li];

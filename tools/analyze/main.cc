@@ -6,7 +6,8 @@
  *   dlvp-analyze --root .                        # lint the whole tree
  *   dlvp-analyze --compile-commands build/compile_commands.json
  *   dlvp-analyze --rule determinism src/trace/memory_image.cc
- *   dlvp-analyze --cache build/analyze.cache --json   # CI mode
+ *   dlvp-analyze --compile-commands build/compile_commands.json \
+ *                --json                           # CI mode
  *   dlvp-analyze --core-stats tests/fixtures/analyze/bad_stats.hh \
  *                --rule stats-registry            # fixture mode
  */
@@ -40,9 +41,6 @@ usage(std::ostream &os)
           "  --layers <txt>            layering manifest (default:\n"
           "                            <root>/tools/analyze/layers.txt;\n"
           "                            'none' disables)\n"
-          "  --cache <file>            incremental result cache: warm\n"
-          "                            runs replay findings for\n"
-          "                            unchanged files\n"
           "  --json                    machine-readable findings on\n"
           "                            stdout instead of file:line\n"
           "  --core-stats <hdr>        stats header for the registry\n"
@@ -175,11 +173,6 @@ main(int argc, char **argv)
                 return 2;
             layers = v;
             layersSet = true;
-        } else if (arg == "--cache") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            config.cachePath = v;
         } else if (arg == "--core-stats") {
             const char *v = value();
             if (!v)

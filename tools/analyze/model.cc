@@ -121,17 +121,6 @@ collectIncludes(SourceFile &f)
 
 } // namespace
 
-std::uint64_t
-fnv1a(std::string_view data, std::uint64_t seed)
-{
-    std::uint64_t h = seed;
-    for (unsigned char c : data) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
 bool
 loadFile(const std::string &path, SourceFile &out)
 {
@@ -142,7 +131,6 @@ loadFile(const std::string &path, SourceFile &out)
     buf << in.rdbuf();
     const std::string text = buf.str();
     out.path = path;
-    out.contentHash = fnv1a(text);
     out.raw = splitLines(text);
     out.code = splitLines(stripCommentsAndStrings(text));
     out.tokens = tokenize(out.code);

@@ -6,25 +6,22 @@
  * suppression comments and registration markers that live inside
  * string literals), comment/string-stripped lines, a flat token
  * stream, the parsed `#include` edges (the cross-file graph rules'
- * input), the parsed suppression map, and an FNV-1a content hash
- * (the incremental cache's key).
+ * input), and the parsed suppression map.
  *
  * Everything here is analyzer-internal — the public surface stays in
  * analyze.hh — but it lives in a named namespace (not an anonymous
- * one) so the per-file rules (analyze.cc), the cross-file graph rules
- * (graph_rules.cc), and the cache (cache.cc) can share one model.
+ * one) so the per-file rules (analyze.cc) and the cross-file graph
+ * rules (graph_rules.cc) can share one model.
  */
 
 #ifndef DLVP_TOOLS_ANALYZE_MODEL_HH
 #define DLVP_TOOLS_ANALYZE_MODEL_HH
 
 #include <cctype>
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
-#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -61,7 +58,6 @@ struct SourceFile
     std::vector<std::string> code; ///< comment/string-stripped lines
     std::vector<Token> tokens;     ///< tokens of the stripped text
     std::vector<Include> includes; ///< parsed include directives
-    std::uint64_t contentHash = 0; ///< FNV-1a of the raw bytes
 
     /**
      * Suppressions: covered line -> rule -> line of the allow()
@@ -79,10 +75,6 @@ std::vector<Token> tokenize(const std::vector<std::string> &lines);
 
 /** Load + strip + tokenize + parse includes/suppressions. */
 bool loadFile(const std::string &path, SourceFile &out);
-
-/** 64-bit FNV-1a, the content/config hash used by the cache. */
-std::uint64_t fnv1a(std::string_view data,
-                    std::uint64_t seed = 1469598103934665603ULL);
 
 /** The .cc for a .hh (and vice versa), when it exists on disk. */
 std::optional<std::string> siblingPath(const std::string &path);
@@ -117,9 +109,6 @@ class Reporter
 
     void report(const SourceFile &f, unsigned line,
                 const std::string &rule, std::string message);
-
-    /** Replay a cached suppression use (incremental cache hits). */
-    void recordUse(SuppressionUse use) { uses_.insert(std::move(use)); }
 
     const std::set<SuppressionUse> &uses() const { return uses_; }
 

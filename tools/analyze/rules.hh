@@ -45,7 +45,6 @@ struct LayerManifest
     std::map<std::string, std::set<std::string>> allowed;
     /** component -> its declaration line (for findings). */
     std::map<std::string, unsigned> declLine;
-    std::string rawText; ///< verbatim manifest bytes (config hash)
 };
 
 /**

@@ -20,7 +20,7 @@
  *
  * Parallelism: --jobs (or the DLVP_JOBS env var) sets the worker
  * count of sweep/suite and the thread budget of run/runfile --sample
- * (the trace walker plus up to two interval workers); output is
+ * (the trace walker plus up to three interval workers); output is
  * bit-identical for any value (see sim/sweep.hh, sim/sampler.hh).
  *
  * Sampling: --sample switches run/runfile/sweep/suite to the interval
@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hh"
 #include "common/fault_inject.hh"
 #include "common/run_error.hh"
 #include "pred/accel.hh"
@@ -151,17 +152,15 @@ parseOptions(int argc, char **argv, int start, Options &opt)
         if (a == "--scheme" && i + 1 < argc) {
             opt.scheme = argv[++i];
         } else if (a == "--insts" && i + 1 < argc) {
-            opt.insts = static_cast<std::size_t>(atoll(argv[++i]));
-        } else if (a == "--warmup" && i + 1 < argc) {
-            opt.warmup = static_cast<std::size_t>(atoll(argv[++i]));
-        } else if (a == "--jobs" && i + 1 < argc) {
-            const long v = atol(argv[++i]);
-            if (v < 0 || v > 4096) {
-                std::fprintf(stderr, "bad --jobs value '%s'\n",
-                             argv[i]);
+            if (!tools::parseCount(a.c_str(), argv[++i], opt.insts))
                 return false;
-            }
-            opt.jobs = static_cast<unsigned>(v); // 0: default
+        } else if (a == "--warmup" && i + 1 < argc) {
+            if (!tools::parseCount(a.c_str(), argv[++i], opt.warmup))
+                return false;
+        } else if (a == "--jobs" && i + 1 < argc) {
+            if (!tools::parseCount(a.c_str(), argv[++i], opt.jobs, 0,
+                                   4096))
+                return false;
         } else if (a == "--json" && i + 1 < argc) {
             opt.jsonPath = argv[++i];
         } else if (a == "--deadline-ms" && i + 1 < argc) {
@@ -180,38 +179,38 @@ parseOptions(int argc, char **argv, int start, Options &opt)
             opt.sample.enabled = true;
         } else if (a == "--sample-warmup" && i + 1 < argc) {
             opt.sample.enabled = true;
-            opt.sample.warmupInsts =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opt.sample.warmupInsts))
+                return false;
         } else if (a == "--sample-measure" && i + 1 < argc) {
             opt.sample.enabled = true;
-            opt.sample.measureInsts =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opt.sample.measureInsts))
+                return false;
         } else if (a == "--sample-period" && i + 1 < argc) {
             opt.sample.enabled = true;
-            opt.sample.periodInsts =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opt.sample.periodInsts))
+                return false;
         } else if (a == "--sample-check") {
             opt.sample.enabled = true;
             opt.sample.check = true;
         } else if (a == "--chunk-insts" && i + 1 < argc) {
-            const long long v = atoll(argv[++i]);
-            if (v < 1 || v > (1 << 24)) {
-                std::fprintf(stderr, "bad --chunk-insts value '%s'\n",
-                             argv[i]);
+            if (!tools::parseCount(a.c_str(), argv[++i], opt.chunkInsts,
+                                   1, 1u << 24))
                 return false;
-            }
-            opt.chunkInsts = static_cast<std::uint32_t>(v);
         } else if (a == "--phases" && i + 1 < argc) {
             opt.phases = argv[++i];
         } else if (a == "--phase-insts" && i + 1 < argc) {
-            opt.phaseInsts =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i], opt.phaseInsts))
+                return false;
         } else if (a == "--density" && i + 1 < argc) {
             opt.density = atof(argv[++i]);
         } else if (a == "--name" && i + 1 < argc) {
             opt.name = argv[++i];
         } else if (a == "--seed" && i + 1 < argc) {
-            opt.seed = static_cast<std::uint64_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i], opt.seed))
+                return false;
         } else if (a == "--priority" && i + 1 < argc) {
             opt.priority = atof(argv[++i]);
         } else if (a == "--client" && i + 1 < argc) {

@@ -18,6 +18,7 @@
 
 #include <unistd.h>
 
+#include "cli_number.hh"
 #include "common/fault_inject.hh"
 #include "common/run_error.hh"
 #include "serve/server.hh"
@@ -84,32 +85,41 @@ main(int argc, char **argv)
         } else if (a == "--cache" && i + 1 < argc) {
             opts.cacheDir = argv[++i];
         } else if (a == "--workers" && i + 1 < argc) {
-            opts.workers = static_cast<unsigned>(atoi(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i], opts.workers,
+                                   0, 4096))
+                return 2;
         } else if (a == "--max-queue" && i + 1 < argc) {
-            opts.maxQueue =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i], opts.maxQueue))
+                return 2;
         } else if (a == "--degrade-queue" && i + 1 < argc) {
-            opts.degradeQueue =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opts.degradeQueue))
+                return 2;
         } else if (a == "--insts" && i + 1 < argc) {
-            opts.insts = static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i], opts.insts))
+                return 2;
         } else if (a == "--io-timeout-ms" && i + 1 < argc) {
-            opts.ioTimeoutMs =
-                static_cast<unsigned>(atoi(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opts.ioTimeoutMs))
+                return 2;
         } else if (a == "--retry-after-ms" && i + 1 < argc) {
-            opts.retryAfterMs =
-                static_cast<unsigned>(atoi(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opts.retryAfterMs))
+                return 2;
         } else if (a == "--default-deadline-ms" && i + 1 < argc) {
             opts.defaultDeadlineMs = atof(argv[++i]);
         } else if (a == "--degrade-warmup" && i + 1 < argc) {
-            opts.degradeSample.warmupInsts =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opts.degradeSample.warmupInsts))
+                return 2;
         } else if (a == "--degrade-measure" && i + 1 < argc) {
-            opts.degradeSample.measureInsts =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opts.degradeSample.measureInsts))
+                return 2;
         } else if (a == "--degrade-period" && i + 1 < argc) {
-            opts.degradeSample.periodInsts =
-                static_cast<std::size_t>(atoll(argv[++i]));
+            if (!tools::parseCount(a.c_str(), argv[++i],
+                                   opts.degradeSample.periodInsts))
+                return 2;
         } else if (a == "--degrade-check") {
             opts.degradeSample.check = true;
         } else if (a == "--fault-plan" && i + 1 < argc) {
