@@ -32,7 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hh"
+#include "sim/configs.hh"
+#include "sim/report.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -42,7 +44,7 @@ using namespace dlvp;
 /**
  * Default scale of a bare run: the committed BENCH_perf.json reference
  * and tools/perf_check use 60k-uop rows and 1M-uop mega traces (the
- * fig binaries' bench::kBenchInsts is 300k).
+ * figure registry's bench::kBenchInsts is 300k).
  */
 constexpr std::size_t kPerfInsts = 60000;
 constexpr std::size_t kPerfMegaInsts = 1000000;
@@ -164,8 +166,6 @@ refMipsTotal(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    using namespace dlvp::bench;
-
     std::size_t insts = kPerfInsts;
     std::size_t mega_insts = kPerfMegaInsts;
     unsigned jobs = 1;

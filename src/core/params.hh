@@ -136,6 +136,9 @@ struct VpConfig : pred::AccelParams
      * request's "seed").
      */
     std::uint64_t rngSeed = 0;
+
+    /** Field by field, so two equal configs simulate identically. */
+    bool operator==(const VpConfig &) const = default;
 };
 
 } // namespace dlvp::core

@@ -91,6 +91,8 @@ struct AccelParams
      * correctly, freeing VTAGE capacity for loads only it can catch.
      */
     bool tournamentPartition = false;
+
+    bool operator==(const AccelParams &) const = default;
 };
 
 /** Fetch-time history context, snapshotted per instruction. */

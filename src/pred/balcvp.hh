@@ -53,6 +53,8 @@ struct BalcvpParams
      * predictions are withheld beyond it.
      */
     unsigned maxSpecDistance = 64;
+
+    bool operator==(const BalcvpParams &) const = default;
 };
 
 class Balcvp

@@ -32,6 +32,8 @@ struct CapParams
     unsigned histBits = 16; ///< per-load folded address history
     unsigned confThreshold = 8; ///< swept 3..64 in Figure 4
     unsigned addrBits = 49;
+
+    bool operator==(const CapParams &) const = default;
 };
 
 class Cap

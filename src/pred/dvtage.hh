@@ -44,6 +44,8 @@ struct DvtageParams
     std::vector<double> confProbs =
         {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16};
     bool loadsOnly = true;
+
+    bool operator==(const DvtageParams &) const = default;
 };
 
 class Dvtage

@@ -54,6 +54,8 @@ struct HermesParams
     /** Unresolved value speculations tolerated before gating off. */
     unsigned maxSpecInflight = 32;
     LvpParams lvp{};
+
+    bool operator==(const HermesParams &) const = default;
 };
 
 class Hermes

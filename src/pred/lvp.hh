@@ -32,6 +32,8 @@ struct LvpParams
     /** 3-bit FPC, VTAGE-style ~64-observation requirement. */
     std::vector<double> confProbs =
         {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16};
+
+    bool operator==(const LvpParams &) const = default;
 };
 
 class Lvp

@@ -48,7 +48,7 @@ struct PapParams
      * APT associativity. The paper's APT is direct-mapped (1); the
      * context-rich workloads in this suite thrash a direct-mapped
      * table, so the set-associative option is provided as an
-     * extension (ablated in bench/abl_pap_design).
+     * extension (ablated by the abl_pap_design figure).
      */
     unsigned assoc = 1;
     unsigned tagBits = 14;
@@ -59,6 +59,8 @@ struct PapParams
     /** The paper adopts Policy-2 ("entries with high confidence can
      *  survive eviction"); Policy-1 is kept for the ablation bench. */
     PapAllocPolicy allocPolicy = PapAllocPolicy::Policy2;
+
+    bool operator==(const PapParams &) const = default;
 };
 
 class Pap

@@ -33,6 +33,8 @@ struct StrideApParams
     unsigned tagBits = 14;
     unsigned confThreshold = 4; ///< stride repeats before predicting
     unsigned addrBits = 49;
+
+    bool operator==(const StrideApParams &) const = default;
 };
 
 class StrideAp

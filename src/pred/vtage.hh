@@ -64,6 +64,8 @@ struct VtageParams
     /** Dynamic filter: block below this accuracy. */
     double dynFilterThreshold = 0.95;
     unsigned dynFilterMinSamples = 256;
+
+    bool operator==(const VtageParams &) const = default;
 };
 
 class Vtage

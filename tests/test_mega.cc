@@ -1371,9 +1371,9 @@ TEST(Cli, ZeroUopTraceIsAStructuredError)
     }
 }
 
-// Integer options are range-checked: a value with trailing
-// characters, a sign, whitespace, or out of range exits 2 with a
-// message naming the option before any trace is built.
+// Numeric options are range-checked: a value with trailing
+// characters, a sign (integers), whitespace, inf/nan or out of range
+// exits 2 with a message naming the option before any trace is built.
 TEST(Cli, MalformedNumericOptionExitsTwo)
 {
     for (const char *args :
@@ -1381,7 +1381,11 @@ TEST(Cli, MalformedNumericOptionExitsTwo)
           "run mcf --insts 18446744073709551616", "run mcf --insts ' 5'",
           "run mcf --sample-period 1e3", "sweep mcf --jobs 4097",
           "gen-mega unused.dt2 --chunk-insts 0",
-          "serve-request unused.sock mcf --seed -3"}) {
+          "serve-request unused.sock mcf --seed -3",
+          "run mcf --insts 2000 --deadline-ms -5",
+          "gen-mega unused.dt2 --insts 2000 --density 0.5x",
+          "gen-mega unused.dt2 --insts 2000 --density 1.5",
+          "serve-request unused.sock mcf --priority nan"}) {
         std::string err;
         EXPECT_EQ(runCli(args, err), 2) << args;
         EXPECT_NE(err.find("bad --"), std::string::npos)

@@ -681,7 +681,8 @@ TEST(ServeDaemon, MalformedNumericOptionExitsTwoBeforeBinding)
         {"--max-queue", "-1"},      {"--workers", "2x"},
         {"--workers", "-1"},        {"--workers", "4097"},
         {"--insts", "12x"},         {"--io-timeout-ms", "4294967296"},
-        {"--degrade-period", " 5"},
+        {"--degrade-period", " 5"},  {"--default-deadline-ms", "-5"},
+        {"--default-deadline-ms", "5ms"},
     };
     for (const auto &extra : bad) {
         TempDir td;

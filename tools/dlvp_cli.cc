@@ -33,7 +33,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -164,7 +163,9 @@ parseOptions(int argc, char **argv, int start, Options &opt)
         } else if (a == "--json" && i + 1 < argc) {
             opt.jsonPath = argv[++i];
         } else if (a == "--deadline-ms" && i + 1 < argc) {
-            opt.deadlineMs = atof(argv[++i]);
+            if (!tools::parseReal(a.c_str(), argv[++i], opt.deadlineMs,
+                                  0.0))
+                return false;
         } else if (a == "--fault-plan" && i + 1 < argc) {
             // Applied immediately: overrides DLVP_FAULT_INJECT.
             try {
@@ -205,14 +206,17 @@ parseOptions(int argc, char **argv, int start, Options &opt)
             if (!tools::parseCount(a.c_str(), argv[++i], opt.phaseInsts))
                 return false;
         } else if (a == "--density" && i + 1 < argc) {
-            opt.density = atof(argv[++i]);
+            if (!tools::parseReal(a.c_str(), argv[++i], opt.density, 0.0,
+                                  1.0))
+                return false;
         } else if (a == "--name" && i + 1 < argc) {
             opt.name = argv[++i];
         } else if (a == "--seed" && i + 1 < argc) {
             if (!tools::parseCount(a.c_str(), argv[++i], opt.seed))
                 return false;
         } else if (a == "--priority" && i + 1 < argc) {
-            opt.priority = atof(argv[++i]);
+            if (!tools::parseReal(a.c_str(), argv[++i], opt.priority))
+                return false;
         } else if (a == "--client" && i + 1 < argc) {
             opt.client = argv[++i];
         } else if (a == "--ping") {

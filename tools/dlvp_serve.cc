@@ -12,7 +12,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -107,7 +106,9 @@ main(int argc, char **argv)
                                    opts.retryAfterMs))
                 return 2;
         } else if (a == "--default-deadline-ms" && i + 1 < argc) {
-            opts.defaultDeadlineMs = atof(argv[++i]);
+            if (!tools::parseReal(a.c_str(), argv[++i],
+                                  opts.defaultDeadlineMs, 0.0))
+                return 2;
         } else if (a == "--degrade-warmup" && i + 1 < argc) {
             if (!tools::parseCount(a.c_str(), argv[++i],
                                    opts.degradeSample.warmupInsts))
