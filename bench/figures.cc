@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/json_escape.hh"
+
 namespace dlvp::bench
 {
 
@@ -193,7 +195,7 @@ writeFiguresJson(std::ostream &os, const FiguresRun &run)
     for (std::size_t i = 0; i < run.figures.size(); ++i) {
         const FigureRun &fr = run.figures[i];
         os << (i ? ",\n" : "\n") << "{\"name\": \""
-           << sim::jsonEscape(fr.figure->name) << "\"";
+           << common::jsonEscape(fr.figure->name) << "\"";
         if (!fr.figure->cells.configs.empty()) {
             os << ", \"sweep\": ";
             sim::writeSweepJson(os, fr.rows);
@@ -206,12 +208,12 @@ writeFiguresJson(std::ostream &os, const FiguresRun &run)
         for (std::size_t i = 0; i < fr.figure->claims.size(); ++i) {
             const Claim &c = fr.figure->claims[i];
             os << sep << "{\"figure\": \""
-               << sim::jsonEscape(fr.figure->name) << "\", \"claim\": \""
-               << sim::jsonEscape(c.text) << "\", \"holds\": "
+               << common::jsonEscape(fr.figure->name) << "\", \"claim\": \""
+               << common::jsonEscape(c.text) << "\", \"holds\": "
                << (fr.holds[i] ? "true" : "false") << ", \"expected\": \""
                << (c.expectHolds ? "holds" : "fails") << "\"";
             if (!c.expectHolds)
-                os << ", \"reason\": \"" << sim::jsonEscape(c.reason)
+                os << ", \"reason\": \"" << common::jsonEscape(c.reason)
                    << "\"";
             os << "}";
             sep = ",\n";

@@ -5,6 +5,7 @@
 #include <chrono>
 
 #include "common/annotations.hh"
+#include "common/deadline.hh"
 #include "common/logging.hh"
 #include "common/run_error.hh"
 
@@ -1392,10 +1393,7 @@ OoOCore::run(std::size_t warmup_insts)
     const bool wall_limited = params_.maxWallMs > 0.0;
     const WallClock::time_point wall_deadline =
         wall_limited
-            ? WallClock::now() +
-                  std::chrono::duration_cast<WallClock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          params_.maxWallMs))
+            ? common::deadlineAfterMs(WallClock::now(), params_.maxWallMs)
             : WallClock::time_point::max();
     std::uint64_t wall_check = 0;
 

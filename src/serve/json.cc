@@ -3,8 +3,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "common/json_escape.hh"
 #include "common/run_error.hh"
-#include "sim/report.hh"
 
 namespace dlvp::serve
 {
@@ -333,7 +333,7 @@ parseJson(const std::string &text)
 std::string
 jsonQuote(const std::string &s)
 {
-    return '"' + sim::jsonEscape(s) + '"';
+    return '"' + common::jsonEscape(s) + '"';
 }
 
 } // namespace dlvp::serve

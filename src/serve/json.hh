@@ -82,7 +82,7 @@ JsonValue parseJson(const std::string &text);
 
 /**
  * Quote + escape @p s as a JSON string literal (with the quotes); the
- * escaping is sim::jsonEscape, the one every report writer uses.
+ * escaping is common::jsonEscape, the one every report writer uses.
  */
 std::string jsonQuote(const std::string &s);
 

@@ -9,7 +9,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/deadline.hh"
 #include "common/fault_inject.hh"
+#include "common/json_escape.hh"
 #include "common/run_error.hh"
 #include "core/core_stats.hh"
 #include "sim/configs.hh"
@@ -25,6 +27,9 @@ using common::ErrorKind;
 using common::FaultPlan;
 using common::RunError;
 using Clock = std::chrono::steady_clock;
+
+/** How often the watchdog looks for in-flight jobs past deadline. */
+constexpr unsigned kWatchdogPollMs = 20;
 
 double
 msSince(Clock::time_point start)
@@ -102,8 +107,8 @@ renderRow(const std::string &workload, const std::string &config,
     const sim::SweepRow &row = res.rows[0];
     std::ostringstream os;
     os << std::setprecision(12);
-    os << "{\"workload\": \"" << sim::jsonEscape(workload)
-       << "\", \"config\": \"" << sim::jsonEscape(config)
+    os << "{\"workload\": \"" << common::jsonEscape(workload)
+       << "\", \"config\": \"" << common::jsonEscape(config)
        << "\", \"insts\": " << insts << ", ";
     if (row.cellOk(0))
         os << "\"speedup\": "
@@ -126,8 +131,8 @@ renderOutcomeRow(const std::string &workload,
     const sim::RunPerf zeroPerf{};
     std::ostringstream os;
     os << std::setprecision(12);
-    os << "{\"workload\": \"" << sim::jsonEscape(workload)
-       << "\", \"config\": \"" << sim::jsonEscape(config)
+    os << "{\"workload\": \"" << common::jsonEscape(workload)
+       << "\", \"config\": \"" << common::jsonEscape(config)
        << "\", \"insts\": " << insts << ", ";
     sim::writeCellFieldsJson(os, outcome, zeroStats, zeroPerf,
                              nullptr);
@@ -447,10 +452,7 @@ Server::admit(const std::shared_ptr<Connection> &conn,
     job->admitted = Clock::now();
     if (job->deadlineMs > 0.0)
         job->deadline =
-            job->admitted +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    job->deadlineMs));
+            common::deadlineAfterMs(job->admitted, job->deadlineMs);
     job->conn = conn;
     job->keyHash = cacheKeyHash(job->key);
 
@@ -643,8 +645,6 @@ Server::execute(const std::shared_ptr<Job> &job)
     spec.jobs = 1;
     spec.store = &store_;
     spec.sample = job->key.sample;
-    spec.maxAttempts = opts_.maxAttempts;
-    spec.retryBackoffMs = opts_.retryBackoffMs;
     if (job->deadlineMs > 0.0) {
         // Propagate the remaining budget both into the sweep (which
         // cancels queued cells) and the core wall watchdog (which
@@ -671,7 +671,7 @@ Server::watchdogLoop()
 {
     while (!stopping_.load()) {
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts_.watchdogPollMs));
+            std::chrono::milliseconds(kWatchdogPollMs));
         const Clock::time_point now = Clock::now();
         std::vector<std::shared_ptr<Job>> expired;
         {

@@ -89,8 +89,6 @@ struct ServeOptions
     unsigned ioTimeoutMs = 30000;
     /** retry_after_ms hint carried by reject responses. */
     unsigned retryAfterMs = 250;
-    /** Watchdog poll period. */
-    unsigned watchdogPollMs = 20;
     /** Default per-request deadline when the request sets none; 0 = unlimited. */
     double defaultDeadlineMs = 0.0;
     /** Default micro-ops per workload trace. */
@@ -104,10 +102,6 @@ struct ServeOptions
      * up.
      */
     sim::SampleSpec degradeSample{};
-    /** Attempts per cell (SweepSpec::maxAttempts). */
-    unsigned maxAttempts = 2;
-    /** Retry backoff base (SweepSpec::retryBackoffMs). */
-    unsigned retryBackoffMs = 5;
 };
 
 /** Observability counters (the `stats` command and tests). */

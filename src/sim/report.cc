@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/json_escape.hh"
 #include "sim/sweep.hh"
 
 namespace dlvp::sim
@@ -72,22 +73,6 @@ Table::print(std::ostream &os) const
     }
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            out += ' ';
-        else
-            out += c;
-    }
-    return out;
-}
-
 namespace
 {
 
@@ -136,7 +121,7 @@ writeCellFieldsJson(std::ostream &os, const JobOutcome &outcome,
     } else {
         os << ", \"error_kind\": \""
            << common::errorKindName(outcome.errorKind)
-           << "\", \"error\": \"" << jsonEscape(outcome.error)
+           << "\", \"error\": \"" << common::jsonEscape(outcome.error)
            << "\"";
     }
 }
@@ -159,11 +144,11 @@ writeSweepJson(std::ostream &os, const SweepResult &r)
     body << "  \"configs\": [";
     for (std::size_t i = 0; i < r.configNames.size(); ++i)
         body << (i ? ", " : "") << '"'
-             << jsonEscape(r.configNames[i]) << '"';
+             << common::jsonEscape(r.configNames[i]) << '"';
     body << "],\n  \"rows\": [\n";
     for (std::size_t wi = 0; wi < r.rows.size(); ++wi) {
         const auto &row = r.rows[wi];
-        body << "    {\"workload\": \"" << jsonEscape(row.workload)
+        body << "    {\"workload\": \"" << common::jsonEscape(row.workload)
              << "\", \"status\": \"" << jobStatusName(row.status())
              << "\", \"baseline\": {";
         writeCellFieldsJson(body, row.baselineOutcome, row.baseline,
@@ -173,7 +158,7 @@ writeSweepJson(std::ostream &os, const SweepResult &r)
         body << "}, \"results\": [";
         for (std::size_t ci = 0; ci < row.results.size(); ++ci) {
             body << (ci ? ", " : "") << "{\"config\": \""
-                 << jsonEscape(r.configNames[ci]) << "\", ";
+                 << common::jsonEscape(r.configNames[ci]) << "\", ";
             // A speedup needs both the baseline and the config cell.
             if (row.cellOk(ci))
                 body << "\"speedup\": "

@@ -68,9 +68,6 @@ void writeCellFieldsJson(std::ostream &os, const JobOutcome &outcome,
                          const RunPerf &perf,
                          const SampleCell *sample = nullptr);
 
-/** JSON string escaping used by every dlvp-*-v1 report writer. */
-std::string jsonEscape(const std::string &s);
-
 /**
  * Machine-readable sweep report (schema "dlvp-sweep-v1", documented
  * in DESIGN.md §"Parallel sweeps"): per-row cycles/ipc/coverage/

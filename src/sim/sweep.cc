@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/deadline.hh"
 #include "common/fault_inject.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -295,16 +296,12 @@ runSweep(const SweepSpec &spec)
     const bool has_deadline = spec.deadlineMs > 0.0;
     const WallClock::time_point deadline =
         has_deadline
-            ? WallClock::now() +
-                  std::chrono::duration_cast<WallClock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          spec.deadlineMs))
+            ? common::deadlineAfterMs(WallClock::now(), spec.deadlineMs)
             : WallClock::time_point::max();
     const auto deadline_expired = [&] {
         return has_deadline && WallClock::now() >= deadline;
     };
 
-    const unsigned max_attempts = std::max(1u, spec.maxAttempts);
     const common::FaultPlan &faults = common::FaultPlan::global();
 
     // Bookkeeping every cell must run exactly once, completed or
@@ -393,7 +390,7 @@ runSweep(const SweepSpec &spec)
                     common::normalizeCurrentException(
                         context +
                         " attempt=" + std::to_string(attempt));
-                if (err.transient() && attempt < max_attempts &&
+                if (err.transient() && attempt < kMaxAttempts &&
                     !deadline_expired()) {
                     // Capped exponential with per-job-seed jitter
                     // (see retryDelayMs): bounded, deterministic

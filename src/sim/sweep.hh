@@ -196,13 +196,6 @@ struct SweepSpec
 
     // -- fault tolerance (DESIGN.md §9) --------------------------
     /**
-     * Attempts per job including the first. Only transient failures
-     * (RunError::transient(): trace_build, oom) are retried; the
-     * per-job seed is derived from (workload, config) so a retried
-     * row is bit-identical to a first-try row.
-     */
-    unsigned maxAttempts = 2;
-    /**
      * Base for the capped exponential backoff before retry r
      * (1-based): see retryDelayMs(). 0 disables the sleep entirely
      * (tests). The delay gives a concurrently failing store or
@@ -293,6 +286,14 @@ SweepResult runSweep(const SweepSpec &spec);
 /** Seed for one (workload, config) job; schedule-independent. */
 std::uint64_t jobSeed(const std::string &workload,
                       const std::string &config);
+
+/**
+ * Attempts per cell including the first. Only transient failures
+ * (RunError::transient(): trace_build, oom) are retried; the per-job
+ * seed is derived from (workload, config) so a retried row is
+ * bit-identical to a first-try row.
+ */
+inline constexpr unsigned kMaxAttempts = 2;
 
 /** Ceiling every retry backoff is capped at, in milliseconds. */
 inline constexpr std::uint64_t kMaxRetryBackoffMs = 1000;

@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/deadline.hh"
 #include "common/fault_inject.hh"
 #include "common/run_error.hh"
 #include "core/core.hh"
@@ -353,6 +356,21 @@ TEST(Watchdog, DeadlockSurfacesAsFailedSweepRow)
 }
 
 // ---- sweep deadline ----
+
+TEST(Deadline, BudgetsPastTheClockRangeSaturate)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    EXPECT_EQ(common::deadlineAfterMs(now, 1500.0),
+              now + std::chrono::milliseconds(1500));
+    // About 32 years still fits the clock exactly.
+    EXPECT_EQ(common::deadlineAfterMs(now, 1e12),
+              now + std::chrono::milliseconds(1000000000000LL));
+    for (const double ms : {1e13, 1e300, HUGE_VAL, std::nan("")})
+        EXPECT_EQ(common::deadlineAfterMs(now, ms),
+                  Clock::time_point::max())
+            << ms;
+}
 
 TEST(Deadline, ExpiredDeadlineCancelsQueuedJobsCleanly)
 {

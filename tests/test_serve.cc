@@ -26,6 +26,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +45,8 @@
 #include "serve/json.hh"
 #include "serve/wire.hh"
 #include "sim/configs.hh"
+#include "sim/report.hh"
+#include "sim/sweep.hh"
 
 namespace
 {
@@ -152,6 +155,32 @@ TEST(ServeJson, RejectsMalformedDocuments)
     for (int i = 0; i < 100; ++i)
         deep += '[';
     EXPECT_THROW((void)parseJson(deep), RunError);
+}
+
+TEST(ServeJson, SweepReportErrorsRoundTrip)
+{
+    // A cell's error text reaches a dlvp-sweep-v1 reader byte for
+    // byte, control characters included.
+    const std::string error = "line one\nline two\ttab\x01\"q\"\\";
+    sim::SweepResult r;
+    r.configNames = {"dlvp"};
+    sim::SweepRow row;
+    row.workload = "mcf";
+    row.baselineOutcome.status = sim::JobStatus::Failed;
+    row.baselineOutcome.error = error;
+    row.results.resize(1);
+    row.perf.resize(1);
+    row.outcomes.resize(1);
+    r.rows.push_back(row);
+    std::ostringstream os;
+    sim::writeSweepJson(os, r);
+    const JsonValue doc = parseJson(os.str());
+    const JsonValue *rows = doc.find("rows");
+    ASSERT_TRUE(rows != nullptr && rows->isArray());
+    ASSERT_EQ(rows->array.size(), 1u);
+    const JsonValue *baseline = rows->array[0].find("baseline");
+    ASSERT_TRUE(baseline != nullptr);
+    EXPECT_EQ(baseline->find("error")->asString(), error);
 }
 
 TEST(ServeJson, AsSizeRejectsNonIntegers)
@@ -1077,6 +1106,24 @@ TEST(ServeDaemon, ConcurrentHitsMatchColdRowsWhileMissesCommit)
     EXPECT_EQ(statCounter(client, "hits"), kClients * kHitsPerClient);
     EXPECT_EQ(statCounter(client, "quarantined"), 0.0);
     // Under TSan a race report turns the daemon's exit status nonzero.
+    const int st = d.shutdownAndWait();
+    EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+}
+
+TEST(ServeDaemon, HugeDeadlineIsNoDeadline)
+{
+    // A deadline past the clock's range must not overflow into one
+    // that has already expired: the row simulates and is ok.
+    TempDir td;
+    Daemon d;
+    ASSERT_TRUE(d.start(td.path, {"--workers", "1"}));
+    ServeClient client(d.sock, 120000);
+    const std::string resp = client.requestRaw(
+        runReq("mcf", "dlvp", ", \"deadline_ms\": 1e300"));
+    EXPECT_EQ(strField(resp, "status"), "ok");
+    EXPECT_EQ(strField(resp, "cache"), "miss");
+    EXPECT_EQ(resp.find("\"error_kind\""), std::string::npos) << resp;
+    EXPECT_NE(resp.find("\"speedup\": "), std::string::npos) << resp;
     const int st = d.shutdownAndWait();
     EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
 }

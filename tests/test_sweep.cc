@@ -256,6 +256,25 @@ TEST(Sweep, JsonReportHasSchemaRowsAndSummary)
     EXPECT_NE(s.find("\"pages\""), std::string::npos);
 }
 
+TEST(Sweep, HugeDeadlineIsNoDeadline)
+{
+    // A budget past the clock's range is no deadline at all: it must
+    // not overflow into one that expired before the first cell.
+    TraceStore store;
+    auto spec = smallSpec(2);
+    spec.workloads = {"mcf"};
+    spec.store = &store;
+    spec.deadlineMs = 1e300;
+    spec.core.maxWallMs = 1e300;
+    const auto result = runSweep(spec);
+    ASSERT_EQ(result.rows.size(), 1u);
+    EXPECT_EQ(result.rows[0].baselineOutcome.status, JobStatus::Ok)
+        << result.rows[0].baselineOutcome.error;
+    for (const auto &o : result.rows[0].outcomes)
+        EXPECT_EQ(o.status, JobStatus::Ok) << o.error;
+    EXPECT_EQ(result.failedJobs(), 0u);
+}
+
 TEST(Sweep, RowsCarryRunPerfTelemetry)
 {
     TraceStore store;

@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/json_escape.hh"
 #include "model.hh"
 #include "rules.hh"
 
@@ -618,40 +619,6 @@ editDistance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
-void
-appendJsonEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 } // namespace
 
 const std::vector<std::string> &
@@ -959,13 +926,13 @@ printFindingsJson(const std::vector<Finding> &findings,
             out += ",";
         first = false;
         out += "{\"rule\":\"";
-        appendJsonEscaped(out, f.rule);
+        out += common::jsonEscape(f.rule);
         out += "\",\"file\":\"";
-        appendJsonEscaped(out, f.file);
+        out += common::jsonEscape(f.file);
         out += "\",\"line\":";
         out += std::to_string(f.line);
         out += ",\"message\":\"";
-        appendJsonEscaped(out, f.message);
+        out += common::jsonEscape(f.message);
         out += "\"}";
     }
     out += "],\"count\":";

@@ -41,6 +41,7 @@
 
 #include "cli_number.hh"
 #include "common/fault_inject.hh"
+#include "common/json_escape.hh"
 #include "common/run_error.hh"
 #include "pred/accel.hh"
 #include "serve/client.hh"
@@ -586,8 +587,8 @@ cmdServeRequest(const std::string &socketPath,
            << "\"}";
     } else {
         os << "{\"cmd\": \"run\", \"workload\": \""
-           << sim::jsonEscape(workload) << "\", \"config\": \""
-           << sim::jsonEscape(opt.scheme) << "\", \"insts\": "
+           << common::jsonEscape(workload) << "\", \"config\": \""
+           << common::jsonEscape(opt.scheme) << "\", \"insts\": "
            << opt.insts;
         if (opt.seed != 0)
             os << ", \"seed\": " << opt.seed;
@@ -596,7 +597,7 @@ cmdServeRequest(const std::string &socketPath,
         if (opt.deadlineMs > 0.0)
             os << ", \"deadline_ms\": " << opt.deadlineMs;
         if (!opt.client.empty())
-            os << ", \"client\": \"" << sim::jsonEscape(opt.client)
+            os << ", \"client\": \"" << common::jsonEscape(opt.client)
                << "\"";
         if (opt.sample.enabled)
             os << ", \"sample\": {\"warmup_insts\": "
