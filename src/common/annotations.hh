@@ -23,7 +23,7 @@
  * whose body opens with DLVP_REQUIRES(mtx) — the "Locked"-suffix
  * caller-holds-the-lock convention made checkable:
  *
- *     void compactJournalLocked()
+ *     void drainQueueLocked()
  *     {
  *         DLVP_REQUIRES(m_);
  *         ...

@@ -1,5 +1,6 @@
 #include "fault_inject.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 
@@ -11,6 +12,13 @@ namespace dlvp::common
 
 namespace
 {
+
+/** The ops serve/cache.cc consults (FaultPlan::cacheOp), '/'-joined. */
+constexpr const char *kCacheOps =
+    "kill-entry/kill-rename/trunc-entry/flip-entry";
+
+/** The ops serve/server.cc consults (FaultPlan::connOp), '/'-joined. */
+constexpr const char *kConnOps = "drop/trunc/garble";
 
 /** Split on @p sep, keeping empty pieces (flagged as errors later). */
 std::vector<std::string>
@@ -140,20 +148,17 @@ FaultPlan::parse(const std::string &spec)
                                        entry + "'");
                 body = body.substr(0, at);
             }
-            if (body.empty())
+            // Only the ops a subsystem consults: any other name is a
+            // typo'd or retired rule that would silently never fire.
+            const std::string ops =
+                kind == "cache" ? kCacheOps : kConnOps;
+            const std::vector<std::string> names = split(ops, '/');
+            if (std::find(names.begin(), names.end(), body) ==
+                names.end())
                 throw RunError(ErrorKind::Internal,
-                               "fault plan: " + kind + " rule '" +
-                                   entry + "' needs an op name");
-            // Ops are lower-case words: the vocabulary belongs to the
-            // consulting subsystem, but a stray '=' / '/' / upper-case
-            // here is a typo'd rule that would silently never fire.
-            for (const char c : body)
-                if (!((c >= 'a' && c <= 'z') ||
-                      (c >= '0' && c <= '9') || c == '-'))
-                    throw RunError(ErrorKind::Internal,
-                                   "fault plan: bad " + kind +
-                                       " op '" + body + "' in '" +
-                                       entry + "' ([a-z0-9-] only)");
+                               "fault plan: bad " + kind + " op '" +
+                                   body + "' in '" + entry + "' (" +
+                                   ops + ")");
             rule.workload = body;
         } else if (kind == "trunc") {
             rule.kind = Kind::Trunc;

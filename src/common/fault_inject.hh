@@ -25,8 +25,8 @@
  *                                         per-rule; every if omitted)
  *                                         matching injection point
  *                                         (serve/cache.cc: kill-entry,
- *                                         kill-rename, kill-journal,
- *                                         trunc-entry, flip-entry)
+ *                                         kill-rename, trunc-entry,
+ *                                         flip-entry)
  *          | 'conn' ':' op ['@' n]        fire the named connection
  *                                         fault in the serve daemon
  *                                         (serve/server.cc: drop,
@@ -34,16 +34,15 @@
  *          | 'seed' '=' n                 seed consumed by randomized
  *                                         fault tests
  *   target := workload ['/' config] | '*'
- *   op     := [a-z0-9-]+                  interpreted by the consulting
- *                                         subsystem; unknown ops never
- *                                         fire
+ *   op     := a name listed above         any other op is a parse
+ *                                         error
  *
  * Examples:
  *   build:mcf            every mcf trace build fails
  *   build:mcf@1          only the first attempt fails (retry succeeds)
  *   stall:vpr/dlvp=50    the (vpr, dlvp) job sleeps 50 ms
  *   trunc:128            opened trace files are cut to 128 bytes
- *   cache:kill-journal@1 SIGKILL mid-append of the first journal record
+ *   cache:kill-rename@1  SIGKILL just after the first entry commit
  *   conn:drop@2          the daemon drops its second accepted connection
  *
  * Injection points count per target name (not per thread or schedule),
@@ -100,10 +99,10 @@ class FaultPlan
     /**
      * Should the named result-cache fault fire at this injection
      * point? Counts occurrences per rule (like failBuild) and matches
-     * the rule's @n occurrence, so e.g. "cache:kill-journal@2" kills
-     * exactly the second journal append. The op vocabulary belongs to
-     * the consulting subsystem (serve/cache.cc); unknown ops simply
-     * never fire. Thread-safe; deterministic per op name.
+     * the rule's @n occurrence, so e.g. "cache:kill-rename@2" kills
+     * exactly after the second entry commit. parse() accepts only the
+     * ops serve/cache.cc consults. Thread-safe; deterministic per op
+     * name.
      */
     bool cacheOp(const std::string &op) const;
 

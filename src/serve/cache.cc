@@ -1,8 +1,6 @@
 #include "cache.hh"
 
-#include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -38,7 +36,7 @@ ioFail(const std::string &what)
 }
 
 /**
- * The cache: fault hooks. Three of the ops model a crash, and a real
+ * The cache: fault hooks. Two of the ops model a crash, and a real
  * crash is the only honest way to test crash recovery — a thrown
  * exception would run destructors and flush buffers the way a power
  * cut never does. SIGKILL is uncatchable, so the process dies at
@@ -92,72 +90,37 @@ readFileBytes(const std::string &path, std::string &out)
 }
 
 /**
- * One parsed journal record. Format (one per line, space-separated):
- *   PUT <key:16hex> <len:decimal> <payload-fnv:16hex> <record-fnv:16hex>
- * record-fnv is FNV-1a over the line prefix up to and including
- * payload-fnv, so any torn or bit-flipped record self-invalidates.
+ * The header line an entry file with payload @p data[0, n) opens
+ * with: "<len:decimal> <payload-fnv:16hex>\n".
  */
-struct JournalRecord
-{
-    std::string key;
-    std::size_t len = 0;
-    std::uint64_t fnv = 0;
-};
-
-bool
-parseHex64(const std::string &s, std::uint64_t &out)
-{
-    if (s.size() != 16)
-        return false;
-    const auto [end, ec] = std::from_chars(
-        s.data(), s.data() + s.size(), out, 16);
-    return ec == std::errc{} && end == s.data() + s.size();
-}
-
-bool
-parseJournalLine(const std::string &line, JournalRecord &rec)
-{
-    std::vector<std::string> fields;
-    std::size_t start = 0;
-    while (start <= line.size()) {
-        const std::size_t sp = line.find(' ', start);
-        if (sp == std::string::npos) {
-            fields.push_back(line.substr(start));
-            break;
-        }
-        fields.push_back(line.substr(start, sp - start));
-        start = sp + 1;
-    }
-    if (fields.size() != 5 || fields[0] != "PUT")
-        return false;
-    std::uint64_t recFnv = 0;
-    if (!parseHex64(fields[3], rec.fnv) ||
-        !parseHex64(fields[4], recFnv))
-        return false;
-    const std::string &lenStr = fields[2];
-    const auto [end, ec] = std::from_chars(
-        lenStr.data(), lenStr.data() + lenStr.size(), rec.len);
-    if (ec != std::errc{} || end != lenStr.data() + lenStr.size())
-        return false;
-    rec.key = fields[1];
-    if (rec.key.size() != 16)
-        return false;
-    // Self-check: record-fnv covers everything before its own field.
-    const std::size_t body =
-        fields[0].size() + 1 + fields[1].size() + 1 +
-        fields[2].size() + 1 + fields[3].size();
-    return recFnv == fnv1a64(line.data(), body);
-}
-
 std::string
-formatJournalLine(const std::string &key, std::size_t len,
-                  std::uint64_t fnv)
+entryHeader(const char *data, std::size_t n)
 {
-    std::string line = "PUT " + key + " " + std::to_string(len) +
-                       " " + hex16(fnv);
-    line += " " + hex16(fnv1a64(line.data(), line.size()));
-    line += "\n";
-    return line;
+    std::string h = std::to_string(n);
+    h += ' ';
+    h += hex16(fnv1a64(data, n));
+    h += '\n';
+    return h;
+}
+
+/**
+ * Verify entry file @p bytes against its own header and strip the
+ * header, leaving the payload. Requiring the exact header the payload
+ * renders (not a lenient parse of it) makes every torn or bit-flipped
+ * file fail, header bytes included.
+ */
+bool
+verifyEntry(std::string &bytes)
+{
+    const std::size_t nl = bytes.find('\n');
+    if (nl == std::string::npos)
+        return false;
+    const char *payload = bytes.data() + nl + 1;
+    if (bytes.compare(0, nl + 1,
+                      entryHeader(payload, bytes.size() - nl - 1)) != 0)
+        return false;
+    bytes.erase(0, nl + 1);
+    return true;
 }
 
 } // namespace
@@ -230,13 +193,15 @@ cacheKeyHash(const CacheKey &key)
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
 {
-    std::error_code ec;
-    fs::create_directories(dir_ + "/entries", ec);
-    fs::create_directories(dir_ + "/quarantine", ec);
-    if (ec)
-        throw RunError(ErrorKind::IoCorrupt,
-                       "cache: cannot create " + dir_ + ": " +
-                           ec.message());
+    for (const char *sub : {"/entries", "/quarantine"}) {
+        const std::string path = dir_ + sub;
+        std::error_code ec;
+        fs::create_directories(path, ec);
+        if (ec)
+            throw RunError(ErrorKind::IoCorrupt,
+                           "cache: cannot create " + path + ": " +
+                               ec.message());
+    }
     recover();
 }
 
@@ -256,119 +221,35 @@ ResultCache::quarantineFile(const std::string &key)
 }
 
 void
-ResultCache::compactJournalLocked()
-{
-    DLVP_REQUIRES(m_);
-    std::string body;
-    for (const auto &kv : index_)
-        if (!kv.second.quarantined)
-            body += formatJournalLine(kv.first, kv.second.len,
-                                      kv.second.fnv);
-    const std::string tmp = dir_ + "/journal.tmp";
-    {
-        Fd fd;
-        fd.fd = ::open(tmp.c_str(),
-                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd.fd < 0)
-            ioFail("open " + tmp);
-        writeAll(fd.fd, body.data(), body.size(), "write journal");
-        ::fsync(fd.fd);
-    }
-    std::error_code ec;
-    fs::rename(tmp, dir_ + "/journal", ec);
-    if (ec)
-        throw RunError(ErrorKind::IoCorrupt,
-                       "cache: journal compaction failed: " +
-                           ec.message());
-}
-
-void
 ResultCache::recover()
 {
     std::lock_guard<std::mutex> lock(m_);
-
-    // 1. Replay the journal up to the first torn / invalid record.
-    std::string journal;
-    readFileBytes(dir_ + "/journal", journal);
-    std::size_t pos = 0;
-    bool torn = false;
-    while (pos < journal.size()) {
-        const std::size_t nl = journal.find('\n', pos);
-        if (nl == std::string::npos) {
-            // No terminating newline: a record died mid-append.
-            torn = true;
-            break;
-        }
-        JournalRecord rec;
-        if (!parseJournalLine(journal.substr(pos, nl - pos), rec)) {
-            torn = true;
-            break;
-        }
-        Entry &e = index_[rec.key];
-        e.len = rec.len;
-        e.fnv = rec.fnv;
-        pos = nl + 1;
-    }
-    if (torn)
-        ++stats_.recoveredJournalDropped;
-
-    // 2. Verify every journaled entry file against its record.
-    for (auto &kv : index_) {
-        std::string payload;
-        if (!readFileBytes(entryPath(kv.first), payload)) {
-            kv.second.quarantined = true;
-            kv.second.reason = "journaled entry file missing";
-        } else if (payload.size() != kv.second.len ||
-                   fnv1a64(payload.data(), payload.size()) !=
-                       kv.second.fnv) {
-            kv.second.quarantined = true;
-            kv.second.reason =
-                "entry failed checksum verification at recovery";
-            quarantineFile(kv.first);
-        }
-    }
-
-    // 3. Sweep the entries directory: delete temps, quarantine
-    //    orphans (committed by rename but never journaled — there is
-    //    no checksum to trust, so they must not be served).
     std::vector<std::string> names;
     std::error_code ec;
     for (const auto &de :
          fs::directory_iterator(dir_ + "/entries", ec))
         names.push_back(de.path().filename().string());
-    std::sort(names.begin(), names.end());
     for (const std::string &name : names) {
         const std::string path = dir_ + "/entries/" + name;
-        if (name.size() > 4 &&
-            name.compare(name.size() - 4, 4, ".tmp") == 0) {
+        if (name.ends_with(".tmp")) {
             fs::remove(path, ec);
             ++stats_.recoveredTempsDeleted;
             continue;
         }
-        if (name.size() != 21 ||
-            name.compare(16, 5, ".json") != 0) {
+        if (name.size() != 21 || !name.ends_with(".json") ||
+            name.find_first_not_of("0123456789abcdef") != 16)
             continue; // not ours; leave it alone
+        std::string bytes;
+        if (readFileBytes(path, bytes) && verifyEntry(bytes)) {
+            ++stats_.recoveredEntries;
+            continue;
         }
         const std::string key = name.substr(0, 16);
-        if (index_.find(key) != index_.end())
-            continue;
-        Entry &e = index_[key];
-        e.quarantined = true;
-        e.reason = "entry present but never journaled";
+        quarantined_[key] = "entry failed its self-check at recovery";
         quarantineFile(key);
-    }
-
-    for (const auto &kv : index_) {
-        if (kv.second.quarantined)
-            ++stats_.recoveredQuarantined;
-        else
-            ++stats_.recoveredEntries;
+        ++stats_.recoveredQuarantined;
     }
     stats_.entries = stats_.recoveredEntries;
-
-    // 4. Heal the journal: rewrite it to exactly the verified set, so
-    //    torn tails and quarantined records don't re-trip next boot.
-    compactJournalLocked();
 }
 
 ResultCache::Lookup
@@ -376,41 +257,35 @@ ResultCache::lookup(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(m_);
     Lookup out;
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++stats_.misses;
-        return out;
-    }
-    if (it->second.quarantined) {
+    const auto it = quarantined_.find(key);
+    if (it != quarantined_.end()) {
         // One-shot: report the corruption once, then heal to a miss
         // so the next request recomputes and re-caches the key.
         out.status = Status::Quarantined;
-        out.reason = it->second.reason;
-        index_.erase(it);
+        out.reason = std::move(it->second);
+        quarantined_.erase(it);
         ++stats_.quarantinedServed;
-        recountEntriesLocked();
         return out;
     }
-    std::string payload;
-    const bool readable = readFileBytes(entryPath(key), payload);
-    if (!readable || payload.size() != it->second.len ||
-        fnv1a64(payload.data(), payload.size()) != it->second.fnv) {
+    std::string bytes;
+    if (!readFileBytes(entryPath(key), bytes)) {
+        ++stats_.misses;
+        return out;
+    }
+    if (!verifyEntry(bytes)) {
         // Post-commit corruption (bit rot / cache:flip-entry): never
-        // serve it. Quarantine the file, surface io_corrupt once via
-        // this lookup, and drop the key so it heals to a miss.
+        // serve it. Quarantine the file and surface io_corrupt once
+        // via this lookup; the key then heals to a miss.
         quarantineFile(key);
-        index_.erase(it);
-        compactJournalLocked();
+        if (stats_.entries > 0)
+            --stats_.entries;
         out.status = Status::Quarantined;
-        out.reason = readable
-                         ? "entry failed checksum verification on read"
-                         : "entry file unreadable";
+        out.reason = "entry failed its self-check on read";
         ++stats_.quarantinedServed;
-        recountEntriesLocked();
         return out;
     }
     out.status = Status::Hit;
-    out.payload = std::move(payload);
+    out.payload = std::move(bytes);
     ++stats_.hits;
     return out;
 }
@@ -419,95 +294,57 @@ void
 ResultCache::put(const std::string &key, const std::string &payload)
 {
     std::lock_guard<std::mutex> lock(m_);
-    const auto it = index_.find(key);
-    if (it != index_.end() && !it->second.quarantined)
+    const std::string path = entryPath(key);
+    if (::access(path.c_str(), F_OK) == 0)
         return; // determinism: an existing entry is already this row
 
     // Crash point 1: die mid-way through the temp-file write. The
     // torn .tmp must be swept (never served) on recovery.
-    const std::string tmp = entryPath(key) + ".tmp";
+    const std::string tmp = path + ".tmp";
+    const std::string bytes =
+        entryHeader(payload.data(), payload.size()) + payload;
     {
         Fd fd;
         fd.fd = ::open(tmp.c_str(),
                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
         if (fd.fd < 0)
             ioFail("open " + tmp);
-        const std::size_t half = payload.size() / 2;
-        writeAll(fd.fd, payload.data(), half, "write entry");
+        const std::size_t half = bytes.size() / 2;
+        writeAll(fd.fd, bytes.data(), half, "write entry");
         maybeKill("kill-entry");
-        writeAll(fd.fd, payload.data() + half, payload.size() - half,
+        writeAll(fd.fd, bytes.data() + half, bytes.size() - half,
                  "write entry");
-        ::fsync(fd.fd);
+        if (::fsync(fd.fd) != 0)
+            ioFail("fsync " + tmp);
     }
     std::error_code ec;
-    fs::rename(tmp, entryPath(key), ec);
+    fs::rename(tmp, path, ec);
     if (ec)
         throw RunError(ErrorKind::IoCorrupt,
-                       "cache: commit rename failed: " +
+                       std::string("cache: commit rename failed: ") +
                            ec.message());
 
-    // Crash point 2: die between rename and journal append. The
-    // entry file exists but is unjournaled → quarantined on recovery.
+    // Crash point 2: die right after the rename. The entry is
+    // complete and self-checked, so recovery serves it as a hit.
     maybeKill("kill-rename");
 
-    const std::uint64_t fnv =
-        fnv1a64(payload.data(), payload.size());
-    const std::string line =
-        formatJournalLine(key, payload.size(), fnv);
-    {
-        Fd fd;
-        fd.fd = ::open((dir_ + "/journal").c_str(),
-                       O_WRONLY | O_CREAT | O_APPEND, 0644);
-        if (fd.fd < 0)
-            ioFail("open journal");
-        // Crash point 3: die with half a record appended. Replay
-        // must stop at the torn line and quarantine the entry.
-        if (FaultPlan::global().cacheOp("kill-journal")) {
-            writeAll(fd.fd, line.data(), line.size() / 2,
-                     "append journal");
-            ::fsync(fd.fd);
-            ::kill(::getpid(), SIGKILL);
-        }
-        writeAll(fd.fd, line.data(), line.size(), "append journal");
-        ::fsync(fd.fd);
-    }
-
-    Entry &e = index_[key];
-    e.quarantined = false;
-    e.reason.clear();
-    e.len = payload.size();
-    e.fnv = fnv;
-    recountEntriesLocked();
+    quarantined_.erase(key);
+    ++stats_.entries;
 
     // Bit-rot injection: corrupt the *committed* entry in place so
     // the read path's re-verification is what catches it.
     if (FaultPlan::global().cacheOp("trunc-entry")) {
-        fs::resize_file(entryPath(key), payload.size() / 2, ec);
+        fs::resize_file(path, bytes.size() / 2, ec);
     }
     if (FaultPlan::global().cacheOp("flip-entry")) {
-        std::string bytes;
-        if (readFileBytes(entryPath(key), bytes) && !bytes.empty()) {
-            bytes[bytes.size() / 2] =
-                static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-            Fd fd;
-            fd.fd = ::open(entryPath(key).c_str(),
-                           O_WRONLY | O_TRUNC, 0644);
-            if (fd.fd >= 0)
-                writeAll(fd.fd, bytes.data(), bytes.size(),
-                         "flip entry");
-        }
+        std::string bad = bytes;
+        bad[bad.size() / 2] =
+            static_cast<char>(bad[bad.size() / 2] ^ 0x10);
+        Fd fd;
+        fd.fd = ::open(path.c_str(), O_WRONLY | O_TRUNC, 0644);
+        if (fd.fd >= 0)
+            writeAll(fd.fd, bad.data(), bad.size(), "flip entry");
     }
-}
-
-void
-ResultCache::recountEntriesLocked()
-{
-    DLVP_REQUIRES(m_);
-    std::size_t n = 0;
-    for (const auto &kv : index_)
-        if (!kv.second.quarantined)
-            ++n;
-    stats_.entries = n;
 }
 
 ResultCache::Stats

@@ -11,29 +11,27 @@
  *
  * Crash safety (DESIGN.md §14) is the design driver:
  *
- *  - Entry files are written to `entries/<key>.tmp` and committed by
- *    rename(2), so a committed entry is always complete.
- *  - An append-only `journal` records one line per committed entry:
- *        PUT <key> <len> <payload-fnv> <record-fnv>\n
- *    where record-fnv covers the preceding fields, making each record
- *    self-validating. The journal is the source of truth: an entry
- *    file without a journal record is never served.
- *  - Startup recovery replays the journal up to the first torn or
- *    checksum-invalid record, verifies every journaled entry file
- *    (length + payload FNV), deletes stray temp files, and
- *    *quarantines* everything else — torn entries, orphans from a
- *    crash between rename and journal append, bit-rotted files. A
- *    quarantined key surfaces exactly once as a structured
+ *  - Each entry file `entries/<key>.json` carries its own check: a
+ *    header line `<len:decimal> <payload-fnv:16hex>\n`, then the
+ *    payload. A file is valid only if its header is exactly the one
+ *    its payload renders, so a torn or bit-flipped file (header
+ *    included) never verifies.
+ *  - Entries are written to `entries/<key>.json.tmp`, fsynced, and
+ *    committed by rename(2), so a committed entry is always complete.
+ *  - Startup recovery deletes stray temp files, verifies every entry
+ *    file against its header, and *quarantines* each one that fails.
+ *    A quarantined key surfaces exactly once as a structured
  *    RunError{io_corrupt} row, then heals to a miss so the next
  *    request recomputes and re-caches it.
- *  - The read path re-verifies length + checksum on every hit, so
+ *  - The read path re-verifies the header on every hit, so
  *    post-commit corruption (bit rot, the `cache:flip-entry` fault)
  *    is also caught and quarantined, never served.
  *
  * Injected faults (common/fault_inject.hh `cache:` rules) exercise all
- * of this deterministically: kill-entry / kill-rename / kill-journal
- * SIGKILL the process at the three distinct crash points of put(), and
- * trunc-entry / flip-entry corrupt a committed entry in place.
+ * of this deterministically: kill-entry / kill-rename SIGKILL the
+ * process mid-way through the temp write and just after the commit
+ * rename, and trunc-entry / flip-entry corrupt a committed entry in
+ * place.
  */
 
 #ifndef DLVP_SERVE_CACHE_HH
@@ -56,10 +54,10 @@ namespace dlvp::serve
  * Engine version baked into every cache key. Bump whenever a change
  * anywhere in the simulator can alter a rendered row for the same
  * request — config-name semantics, predictor defaults, TLB/prefetcher
- * tuning, report formatting — so stale entries become unreachable
- * instead of wrong.
+ * tuning, report formatting — or the entry file format changes, so
+ * stale entries become unreachable instead of wrong.
  */
-inline constexpr unsigned kCacheEpoch = 1;
+inline constexpr unsigned kCacheEpoch = 2;
 
 /** FNV-1a 64-bit over @p n bytes (the cache's only hash). */
 std::uint64_t fnv1a64(const char *data, std::size_t n);
@@ -121,14 +119,14 @@ class ResultCache
         std::size_t recoveredEntries = 0;
         std::size_t recoveredQuarantined = 0;
         std::size_t recoveredTempsDeleted = 0;
-        std::size_t recoveredJournalDropped = 0; ///< torn/invalid records
     };
 
     /**
      * Open (creating directories as needed) the cache rooted at
      * @p dir and run crash recovery. Throws RunError{io_corrupt} only
-     * for environmental failures (unwritable dir); corrupt *content*
-     * never throws — it quarantines.
+     * for environmental failures (a directory that cannot be created
+     * or is not one); corrupt *content* never throws — it
+     * quarantines.
      */
     explicit ResultCache(std::string dir);
 
@@ -139,10 +137,10 @@ class ResultCache
     Lookup lookup(const std::string &key);
 
     /**
-     * Commit @p payload under @p key: temp write, rename, journal
-     * append (each a distinct injectable crash point). A key already
-     * cached is left untouched (first write wins — payloads for one
-     * key are identical by construction). Thread-safe.
+     * Commit @p payload under @p key: header + payload temp write,
+     * fsync, rename (a crash point on each side of the rename). A key
+     * already cached is left untouched (first write wins — payloads
+     * for one key are identical by construction). Thread-safe.
      */
     void put(const std::string &key, const std::string &payload);
 
@@ -151,31 +149,18 @@ class ResultCache
     const std::string &dir() const { return dir_; }
 
   private:
-    struct Entry
-    {
-        bool quarantined = false;
-        std::string reason;      ///< quarantine reason
-        std::size_t len = 0;     ///< journaled payload length
-        std::uint64_t fnv = 0;   ///< journaled payload checksum
-    };
-
-    /** Journal replay + entry verification + quarantine (ctor). */
+    /** Temp sweep + entry verification + quarantine (ctor). */
     void recover();
 
     /** Move a bad entry file aside; ignores a missing file. */
     void quarantineFile(const std::string &key);
 
-    /** Rewrite the journal from the verified index (atomic). */
-    void compactJournalLocked();
-
-    /** Refresh stats_.entries from the index (callers hold m_). */
-    void recountEntriesLocked();
-
     std::string entryPath(const std::string &key) const;
 
     mutable std::mutex m_;
     std::string dir_;
-    std::map<std::string, Entry> index_;
+    /** Keys quarantined but not yet served once: key → reason. */
+    std::map<std::string, std::string> quarantined_;
     DLVP_GUARDED_BY(m_);
     Stats stats_;
     DLVP_GUARDED_BY(m_);

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include <sys/socket.h>
@@ -47,6 +48,28 @@ envelopeHead(const std::string &id)
     if (!id.empty())
         head += ", \"id\": " + jsonQuote(id);
     return head;
+}
+
+/** Reject request field @p name: it is not @p want. */
+[[noreturn]] void
+badField(const std::string &name, const char *want)
+{
+    throw RunError(ErrorKind::Internal,
+                   "\"" + name + "\" must be " + want);
+}
+
+/**
+ * Request field @p v as a non-negative integer. asSize() caps valid
+ * values at 1e15, so its SIZE_MAX fallback marks a malformed one.
+ */
+std::size_t
+sizeField(const JsonValue &v, const std::string &name)
+{
+    constexpr std::size_t kBad = std::numeric_limits<std::size_t>::max();
+    const std::size_t n = v.asSize(kBad);
+    if (n == kBad)
+        badField(name, "a non-negative integer");
+    return n;
 }
 
 std::string
@@ -404,26 +427,29 @@ Server::admit(const std::shared_ptr<Connection> &conn,
     if (const JsonValue *v = req.find("insts")) {
         job->key.insts = v->asSize(0);
         if (job->key.insts == 0)
-            throw RunError(ErrorKind::Internal,
-                           "\"insts\" must be a positive integer");
+            badField("insts", "a positive integer");
     }
     if (const JsonValue *v = req.find("seed")) {
-        job->key.seed = v->asSize(0);
+        job->key.seed = sizeField(*v, "seed");
         job->vp.rngSeed = job->key.seed;
     }
-    if (const JsonValue *v = req.find("client"))
-        job->client = v->asString();
+    if (const JsonValue *v = req.find("client")) {
+        if (!v->isString())
+            badField("client", "a string");
+        job->client = v->str;
+    }
     if (job->client.empty())
         job->client = "anon";
-    if (const JsonValue *v = req.find("priority"))
-        job->priority = v->asNumber(0.0);
+    if (const JsonValue *v = req.find("priority")) {
+        if (!v->isNumber())
+            badField("priority", "a number");
+        job->priority = v->number;
+    }
     job->deadlineMs = opts_.defaultDeadlineMs;
     if (const JsonValue *v = req.find("deadline_ms")) {
         job->deadlineMs = v->asNumber(-1.0);
         if (job->deadlineMs < 0.0)
-            throw RunError(ErrorKind::Internal,
-                           "\"deadline_ms\" must be a non-negative "
-                           "number");
+            badField("deadline_ms", "a non-negative number");
     }
     if (const JsonValue *v = req.find("sample")) {
         if (v->isBool()) {
@@ -435,13 +461,16 @@ Server::admit(const std::shared_ptr<Connection> &conn,
             sim::SampleSpec s;
             s.enabled = true;
             if (const JsonValue *f = v->find("warmup_insts"))
-                s.warmupInsts = f->asSize(s.warmupInsts);
+                s.warmupInsts = sizeField(*f, "sample.warmup_insts");
             if (const JsonValue *f = v->find("measure_insts"))
-                s.measureInsts = f->asSize(s.measureInsts);
+                s.measureInsts = sizeField(*f, "sample.measure_insts");
             if (const JsonValue *f = v->find("period_insts"))
-                s.periodInsts = f->asSize(s.periodInsts);
-            if (const JsonValue *f = v->find("check"))
-                s.check = f->asBool(false);
+                s.periodInsts = sizeField(*f, "sample.period_insts");
+            if (const JsonValue *f = v->find("check")) {
+                if (!f->isBool())
+                    badField("sample.check", "a bool");
+                s.check = f->boolean;
+            }
             job->key.sample = s;
         } else {
             throw RunError(ErrorKind::Internal,

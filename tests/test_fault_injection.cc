@@ -511,11 +511,11 @@ TEST(FaultStorm, RandomPlansNeverCrashAndSpareHealthyRows)
 TEST(FaultPlan, ParsesCacheAndConnRules)
 {
     const auto plan = FaultPlan::parse(
-        "cache:kill-journal@1;conn:drop;cache:flip-entry");
+        "cache:kill-rename@1;conn:drop;cache:flip-entry");
     EXPECT_FALSE(plan.empty());
-    // kill-journal is @1: fires on the first consult only.
-    EXPECT_TRUE(plan.cacheOp("kill-journal"));
-    EXPECT_FALSE(plan.cacheOp("kill-journal"));
+    // kill-rename is @1: fires on the first consult only.
+    EXPECT_TRUE(plan.cacheOp("kill-rename"));
+    EXPECT_FALSE(plan.cacheOp("kill-rename"));
     // flip-entry is unnumbered: fires every time.
     EXPECT_TRUE(plan.cacheOp("flip-entry"));
     EXPECT_TRUE(plan.cacheOp("flip-entry"));
@@ -523,7 +523,7 @@ TEST(FaultPlan, ParsesCacheAndConnRules)
     EXPECT_FALSE(plan.cacheOp("kill-entry"));
     EXPECT_FALSE(plan.cacheOp("drop"));
     EXPECT_TRUE(plan.connOp("drop"));
-    EXPECT_FALSE(plan.connOp("kill-journal"));
+    EXPECT_FALSE(plan.connOp("kill-rename"));
 }
 
 TEST(FaultPlan, CacheRuleCountsAreDeterministicPerRule)
@@ -540,15 +540,19 @@ TEST(FaultPlan, RejectsMalformedCacheAndConnRules)
     for (const char *bad :
          {"cache:", "conn:", "cache:@1", "cache:kill-entry@0",
           "cache:Kill-Entry", "conn:drop@", "cache:kill entry",
-          "conn:drop@x", "cache:kill_entry"}) {
+          "conn:drop@x", "cache:kill_entry",
+          // Well-formed names that no subsystem consults would
+          // silently never fire: a retired op, an invented one, and
+          // ops of the other kind.
+          "cache:kill-journal", "conn:explode", "cache:drop",
+          "conn:flip-entry"}) {
         EXPECT_THROW((void)FaultPlan::parse(bad), RunError) << bad;
     }
     // The documented ops all parse.
     EXPECT_FALSE(FaultPlan::parse("cache:kill-entry;cache:kill-"
-                                  "rename;cache:kill-journal;"
-                                  "cache:trunc-entry;cache:flip-"
-                                  "entry;conn:drop;conn:trunc;"
-                                  "conn:garble")
+                                  "rename;cache:trunc-entry;"
+                                  "cache:flip-entry;conn:drop;"
+                                  "conn:trunc;conn:garble")
                      .empty());
 }
 

@@ -5,13 +5,14 @@
  * the crash-safety contract of the persistent result cache plus the
  * daemon's admission / degradation / watchdog behavior.
  *
- * Crash coverage follows the ISSUE's harness shape: fork a child that
- * arms a `cache:` fault plan and gets SIGKILLed inside put() at each
- * distinct commit point, then reopen the cache in the parent and
- * assert it recovers to a consistent state where no corrupt entry is
- * ever served. An exhaustive truncation-point sweep over the journal
- * (test_mega.cc fuzz style) proves the same holds for every possible
- * torn-write length, not just the injected ones.
+ * Crash coverage forks a child that arms a `cache:` fault plan and
+ * gets SIGKILLed inside put() on each side of the commit rename, then
+ * reopens the cache in the parent and asserts it recovers to a
+ * consistent state where no corrupt entry is ever served. Exhaustive
+ * sweeps over a committed entry file (test_mega.cc fuzz style) — every
+ * truncation length and every single-bit flip, header included —
+ * prove the same holds for every possible torn or rotted file, found
+ * at recovery or on read.
  *
  * Daemon-level tests exec the real dlvp_serve binary (DLVP_SERVE_BIN)
  * and speak the wire protocol through serve::ServeClient — the same
@@ -295,11 +296,31 @@ TEST(ResultCache, PostCommitCorruptionIsQuarantinedThenHeals)
     }
 }
 
+TEST(ResultCache, EntriesPathThatIsAFileFailsAtOpen)
+{
+    // A cache that cannot hold entries must fail at open, not start a
+    // daemon that simulates every miss and then fails each commit.
+    TempDir td;
+    const std::string dir = td.path + "/cache";
+    fs::create_directories(dir);
+    writeFile(dir + "/entries", "not a directory");
+    try {
+        ResultCache cache(dir);
+        FAIL() << "opening a cache whose entries path is a file must "
+                  "throw";
+    } catch (const RunError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::IoCorrupt);
+        EXPECT_NE(std::string(e.what()).find("/entries"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 // =========================================== result cache (crashes)
 
 /**
  * Run put() in a forked child armed with @p plan; the injected fault
- * SIGKILLs it at one of the three commit points. Returns true if the
+ * SIGKILLs it on one side of the commit rename. Returns true if the
  * child actually died by SIGKILL (i.e. the fault fired).
  */
 bool
@@ -345,7 +366,7 @@ TEST(ResultCacheCrash, KillMidEntryWriteLeavesOnlyATemp)
     EXPECT_EQ(cache.lookup(key).payload, payload);
 }
 
-TEST(ResultCacheCrash, KillBetweenRenameAndJournalQuarantinesOrphan)
+TEST(ResultCacheCrash, KillAfterRenameServesTheCommittedRow)
 {
     TempDir td;
     const std::string dir = td.path + "/cache";
@@ -354,46 +375,16 @@ TEST(ResultCacheCrash, KillBetweenRenameAndJournalQuarantinesOrphan)
     ASSERT_TRUE(
         crashDuringPut(dir, "cache:kill-rename", key, payload));
 
-    // The entry file was committed but never journaled: the journal
-    // is the source of truth, so the orphan must not be served even
-    // though its bytes happen to be intact.
+    // The rename committed a complete, self-checked entry: the
+    // restart serves it byte-identically, with nothing quarantined.
     ResultCache cache(dir);
     const auto s = cache.stats();
-    EXPECT_EQ(s.recoveredQuarantined, 1u);
-    EXPECT_EQ(s.recoveredEntries, 0u);
-    const auto first = cache.lookup(key);
-    EXPECT_EQ(first.status, ResultCache::Status::Quarantined);
-    EXPECT_EQ(cache.lookup(key).status, ResultCache::Status::Miss);
-    cache.put(key, payload);
-    EXPECT_EQ(cache.lookup(key).payload, payload);
-}
-
-TEST(ResultCacheCrash, KillMidJournalAppendDropsTornRecord)
-{
-    TempDir td;
-    const std::string dir = td.path + "/cache";
-    const std::string key = keyFor("crash3");
-    const std::string payload = "{\"v\": 3}";
-    ASSERT_TRUE(
-        crashDuringPut(dir, "cache:kill-journal", key, payload));
-
-    ResultCache cache(dir);
-    const auto s = cache.stats();
-    EXPECT_EQ(s.recoveredJournalDropped, 1u);
-    EXPECT_EQ(s.recoveredQuarantined, 1u);
-    EXPECT_EQ(s.recoveredEntries, 0u);
-    EXPECT_EQ(cache.lookup(key).status,
-              ResultCache::Status::Quarantined);
-    EXPECT_EQ(cache.lookup(key).status, ResultCache::Status::Miss);
-    cache.put(key, payload);
-    EXPECT_EQ(cache.lookup(key).payload, payload);
-
-    // Recovery compacted the journal: a fresh reopen sees one clean
-    // record and no residue of the crash.
-    ResultCache again(dir);
-    EXPECT_EQ(again.stats().recoveredEntries, 1u);
-    EXPECT_EQ(again.stats().recoveredJournalDropped, 0u);
-    EXPECT_EQ(again.lookup(key).payload, payload);
+    EXPECT_EQ(s.recoveredEntries, 1u);
+    EXPECT_EQ(s.recoveredQuarantined, 0u);
+    EXPECT_EQ(s.recoveredTempsDeleted, 0u);
+    const auto hit = cache.lookup(key);
+    ASSERT_EQ(hit.status, ResultCache::Status::Hit);
+    EXPECT_EQ(hit.payload, payload);
 }
 
 TEST(ResultCacheCrash, SurvivesRepeatedCrashesOnTheSameKey)
@@ -404,8 +395,8 @@ TEST(ResultCacheCrash, SurvivesRepeatedCrashesOnTheSameKey)
     const std::string payload = "{\"v\": 4}";
     // A flaky host can die at a different point on every attempt;
     // each recovery must leave the cache usable for the next.
-    for (const char *plan : {"cache:kill-entry", "cache:kill-rename",
-                             "cache:kill-journal"}) {
+    for (const char *plan : {"cache:kill-entry", "cache:kill-entry",
+                             "cache:kill-rename"}) {
         ASSERT_TRUE(crashDuringPut(dir, plan, key, payload)) << plan;
         ResultCache cache(dir);
         auto l = cache.lookup(key);
@@ -419,15 +410,21 @@ TEST(ResultCacheCrash, SurvivesRepeatedCrashesOnTheSameKey)
     EXPECT_EQ(cache.lookup(key).payload, payload);
 }
 
-TEST(ResultCacheCrash, ExhaustiveJournalTruncationSweep)
+/**
+ * A committed three-key cache, for sweeps that damage the middle
+ * key's entry file and check that the damage is never served.
+ */
+struct ThreeKeyCache
 {
     TempDir td;
-    const std::string dirA = td.path + "/A";
-    const std::vector<std::string> keys = {
-        keyFor("t1"), keyFor("t2"), keyFor("t3")};
+    std::vector<std::string> keys = {keyFor("t1"), keyFor("t2"),
+                                     keyFor("t3")};
     std::vector<std::string> payloads;
+    std::string entry; ///< keys[1]'s committed entry file
+
+    ThreeKeyCache()
     {
-        ResultCache cache(dirA);
+        ResultCache cache(td.path + "/A");
         for (std::size_t i = 0; i < keys.size(); ++i) {
             payloads.push_back("{\"workload\": \"w" +
                                std::to_string(i) +
@@ -435,76 +432,87 @@ TEST(ResultCacheCrash, ExhaustiveJournalTruncationSweep)
                                std::to_string(i) + "}");
             cache.put(keys[i], payloads[i]);
         }
+        entry = readFile(td.path + "/A/entries/" + keys[1] + ".json");
     }
-    const std::string journal = readFile(dirA + "/journal");
-    ASSERT_GT(journal.size(), 0u);
 
-    // Simulate a power cut at every possible journal length: the
-    // complete-record prefix must be served byte-identically and
-    // everything after the tear quarantined — never a wrong payload,
-    // never a crash.
-    for (std::size_t len = 0; len <= journal.size(); ++len) {
-        const std::string dirB = td.path + "/B";
+    /**
+     * Copy the cache to a fresh directory, write @p bytes as keys[1]'s
+     * entry file before the open (@p atRecovery) or behind the open
+     * cache's back, and return keys[1]'s first lookup. A quarantined
+     * key must heal to a miss, and the other two keys must stay
+     * byte-identical hits either way.
+     */
+    ResultCache::Lookup
+    serveVariant(const std::string &bytes, bool atRecovery) const
+    {
+        const std::string dir = td.path + "/B";
         std::error_code ec;
-        fs::remove_all(dirB, ec);
-        fs::create_directories(dirB + "/entries");
+        fs::remove_all(dir, ec);
+        fs::create_directories(dir + "/entries");
         for (const auto &k : keys)
-            fs::copy_file(dirA + "/entries/" + k + ".json",
-                          dirB + "/entries/" + k + ".json");
-        writeFile(dirB + "/journal", journal.substr(0, len));
-
-        const auto complete = static_cast<std::size_t>(std::count(
-            journal.begin(), journal.begin() + len, '\n'));
-        ResultCache cache(dirB);
-        EXPECT_EQ(cache.stats().recoveredEntries, complete)
-            << "truncated at " << len;
-        EXPECT_EQ(cache.stats().recoveredQuarantined,
-                  keys.size() - complete)
-            << "truncated at " << len;
-        for (std::size_t i = 0; i < keys.size(); ++i) {
+            fs::copy_file(td.path + "/A/entries/" + k + ".json",
+                          dir + "/entries/" + k + ".json");
+        const std::string target = dir + "/entries/" + keys[1] + ".json";
+        if (atRecovery)
+            writeFile(target, bytes);
+        ResultCache cache(dir);
+        if (!atRecovery)
+            writeFile(target, bytes);
+        const auto first = cache.lookup(keys[1]);
+        if (first.status == ResultCache::Status::Quarantined) {
+            EXPECT_EQ(cache.stats().recoveredQuarantined,
+                      atRecovery ? 1u : 0u);
+            EXPECT_EQ(cache.lookup(keys[1]).status,
+                      ResultCache::Status::Miss);
+        }
+        for (const std::size_t i : {0u, 2u}) {
             const auto l = cache.lookup(keys[i]);
-            if (i < complete) {
-                ASSERT_EQ(l.status, ResultCache::Status::Hit)
-                    << "truncated at " << len << " key " << i;
-                EXPECT_EQ(l.payload, payloads[i]);
+            EXPECT_EQ(l.status, ResultCache::Status::Hit) << i;
+            EXPECT_EQ(l.payload, payloads[i]) << i;
+        }
+        return first;
+    }
+};
+
+TEST(ResultCacheCrash, ExhaustiveEntryTruncationSweep)
+{
+    // A power cut can leave an entry file at any length: every proper
+    // prefix, header included, is quarantined and never served.
+    const ThreeKeyCache c;
+    ASSERT_GT(c.entry.size(), 0u);
+    for (std::size_t len = 0; len <= c.entry.size(); ++len) {
+        for (const bool atRecovery : {true, false}) {
+            const auto l =
+                c.serveVariant(c.entry.substr(0, len), atRecovery);
+            if (len == c.entry.size()) {
+                ASSERT_EQ(l.status, ResultCache::Status::Hit);
+                EXPECT_EQ(l.payload, c.payloads[1]);
             } else {
-                EXPECT_EQ(l.status,
-                          ResultCache::Status::Quarantined)
-                    << "truncated at " << len << " key " << i;
+                EXPECT_EQ(l.status, ResultCache::Status::Quarantined)
+                    << "truncated at " << len
+                    << (atRecovery ? " before open" : " after open");
             }
         }
     }
 }
 
-TEST(ResultCacheCrash, BitFlippedJournalRecordIsDropped)
+TEST(ResultCacheCrash, EveryEntryBitFlipIsQuarantined)
 {
-    TempDir td;
-    const std::string dir = td.path + "/C";
-    const std::string key = keyFor("flip");
-    {
-        ResultCache cache(dir);
-        cache.put(key, "{\"v\": 9}");
-    }
-    // Flip one bit in every byte position in turn: the record-fnv
-    // must catch each one (the entry is then an unjournaled orphan).
-    std::string journal = readFile(dir + "/journal");
-    for (std::size_t i = 0; i + 1 < journal.size(); ++i) {
-        std::string bad = journal;
-        bad[i] = static_cast<char>(bad[i] ^ 0x04);
-        writeFile(dir + "/journal", bad);
-        ResultCache cache(dir);
-        EXPECT_EQ(cache.stats().recoveredEntries, 0u)
-            << "flip at " << i;
-        EXPECT_NE(cache.lookup(key).status,
-                  ResultCache::Status::Hit)
-            << "flip at " << i;
-        // Recovery rewrote the journal; restore the original entry
-        // file + journal for the next flip position.
-        std::error_code ec;
-        fs::remove_all(dir, ec);
-        ResultCache fresh(dir);
-        fresh.put(key, "{\"v\": 9}");
-        journal = readFile(dir + "/journal");
+    // FNV-1a changes under any one-byte change of the payload, and
+    // the header must match its payload exactly, so every single-bit
+    // flip anywhere in the file is caught.
+    const ThreeKeyCache c;
+    for (std::size_t i = 0; i < c.entry.size(); ++i) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::string bad = c.entry;
+            bad[i] = static_cast<char>(bad[i] ^ (1u << bit));
+            for (const bool atRecovery : {true, false}) {
+                EXPECT_EQ(c.serveVariant(bad, atRecovery).status,
+                          ResultCache::Status::Quarantined)
+                    << "bit " << bit << " of byte " << i
+                    << (atRecovery ? " before open" : " after open");
+            }
+        }
     }
 }
 
@@ -830,8 +838,7 @@ TEST(ServeDaemon, SigkillMidCommitThenRestartRecovers)
         Daemon d;
         ASSERT_TRUE(d.start(
             td.path,
-            {"--workers", "1", "--fault-plan",
-             "cache:kill-journal@1"}));
+            {"--workers", "1", "--fault-plan", "cache:kill-rename@1"}));
         ServeClient client(d.sock, 120000);
         // The daemon is SIGKILLed inside the cache commit, after
         // computing but before responding: the client sees a hangup,
@@ -842,26 +849,47 @@ TEST(ServeDaemon, SigkillMidCommitThenRestartRecovers)
         EXPECT_TRUE(WIFSIGNALED(st) && WTERMSIG(st) == SIGKILL);
     }
 
-    Daemon d2;
-    ASSERT_TRUE(d2.start(td.path, {"--workers", "1"}));
-    ServeClient client(d2.sock, 120000);
-    // First touch surfaces the quarantined orphan as a structured
-    // io_corrupt row — observable, never silent, never fatal.
-    const std::string first =
-        client.requestRaw(runReq("mcf", "dlvp"));
+    std::string dlvpRow;
+    {
+        // The rename had committed a complete entry: the restart
+        // serves it. The first new commit is bit-flipped on disk.
+        Daemon d;
+        ASSERT_TRUE(d.start(
+            td.path,
+            {"--workers", "1", "--fault-plan", "cache:flip-entry@1"}));
+        ServeClient client(d.sock, 120000);
+        const std::string hit = client.requestRaw(runReq("mcf", "dlvp"));
+        EXPECT_EQ(strField(hit, "cache"), "hit");
+        EXPECT_NE(hit.find("\"speedup\": "), std::string::npos);
+        dlvpRow = rowPart(hit);
+        const std::string miss =
+            client.requestRaw(runReq("mcf", "vtage"));
+        EXPECT_EQ(strField(miss, "cache"), "miss");
+        EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+    }
+
+    Daemon d;
+    ASSERT_TRUE(d.start(td.path, {"--workers", "1"}));
+    ServeClient client(d.sock, 120000);
+    // First touch surfaces the entry that recovery quarantined as a
+    // structured io_corrupt row — observable, never silent, never
+    // fatal.
+    const std::string first = client.requestRaw(runReq("mcf", "vtage"));
     EXPECT_EQ(strField(first, "status"), "ok");
     EXPECT_EQ(strField(first, "cache"), "quarantined");
     EXPECT_EQ(strField(first, "error_kind"), "io_corrupt");
     // The key then heals: recompute, re-cache, serve hits again.
-    const std::string second =
-        client.requestRaw(runReq("mcf", "dlvp"));
+    const std::string second = client.requestRaw(runReq("mcf", "vtage"));
     EXPECT_EQ(strField(second, "cache"), "miss");
     EXPECT_NE(second.find("\"speedup\": "), std::string::npos);
-    const std::string third =
-        client.requestRaw(runReq("mcf", "dlvp"));
+    const std::string third = client.requestRaw(runReq("mcf", "vtage"));
     EXPECT_EQ(strField(third, "cache"), "hit");
     EXPECT_EQ(rowPart(third), rowPart(second));
-    EXPECT_TRUE(WIFEXITED(d2.shutdownAndWait()));
+    // The untouched key still serves the same bytes.
+    const std::string dlvp = client.requestRaw(runReq("mcf", "dlvp"));
+    EXPECT_EQ(strField(dlvp, "cache"), "hit");
+    EXPECT_EQ(rowPart(dlvp), dlvpRow);
+    EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
 }
 
 TEST(ServeDaemon, OverloadShedsToDegradedThenRejects)
@@ -1228,6 +1256,27 @@ TEST(ServeDaemon, BadRequestsGetStructuredErrorsNotDisconnects)
     const std::string badCmd =
         client.requestRaw("{\"cmd\": \"explode\"}");
     EXPECT_EQ(strField(badCmd, "status"), "error");
+
+    // A malformed field is an error naming it, never its default.
+    const std::vector<std::pair<std::string, std::string>> badFields = {
+        {"\"seed\": -1", "seed"},
+        {"\"seed\": 1.5", "seed"},
+        {"\"seed\": \"7\"", "seed"},
+        {"\"sample\": {\"warmup_insts\": -1}", "sample.warmup_insts"},
+        {"\"sample\": {\"measure_insts\": 2.5}", "sample.measure_insts"},
+        {"\"sample\": {\"period_insts\": \"9\"}", "sample.period_insts"},
+        {"\"sample\": {\"check\": 1}", "sample.check"},
+        {"\"priority\": \"high\"", "priority"},
+        {"\"client\": 7", "client"},
+    };
+    for (const auto &[field, name] : badFields) {
+        const std::string resp =
+            client.requestRaw(runReq("mcf", "dlvp", ", " + field));
+        EXPECT_EQ(strField(resp, "status"), "error") << field;
+        EXPECT_NE(resp.find("\\\"" + name + "\\\" must be"),
+                  std::string::npos)
+            << resp;
+    }
 
     // The connection is still healthy after every bad request.
     EXPECT_NE(client.requestRaw("{\"cmd\": \"ping\"}")
