@@ -1,7 +1,9 @@
 /**
  * @file
  * Counters collected by one core run; everything the benches and the
- * energy model need.
+ * energy model need. Every counter is a zero-initialized
+ * std::uint64_t declared by DLVP_CORE_STATS_FIELDS, the one list of
+ * them.
  */
 
 #ifndef DLVP_CORE_CORE_STATS_HH
@@ -10,16 +12,14 @@
 #include <cstdint>
 #include <ostream>
 
-#include "common/types.hh"
-
 namespace dlvp::core
 {
 
 /**
- * X-macro over every CoreStats counter field, in declaration order.
- * Keep in sync with the struct below; the golden-stats test iterates
- * this list so a new counter is automatically covered (and a stale
- * list fails to compile against the struct).
+ * X-macro over every CoreStats counter, in declaration order: the
+ * struct below declares its members by expanding it, so the list
+ * exists once. The golden-stats test, accumulate() and perfbench's
+ * digest iterate it, so a new counter is covered everywhere.
  */
 #define DLVP_CORE_STATS_FIELDS(X) \
     X(cycles) \
@@ -28,48 +28,56 @@ namespace dlvp::core
     X(committedStores) \
     X(committedBranches) \
     X(fetchedInsts) \
+    /* Branch prediction. */ \
     X(condBranches) \
     X(condMispredicts) \
     X(indirectBranches) \
     X(indirectMispredicts) \
     X(returnMispredicts) \
+    /* Value prediction (counted at commit). */ \
     X(vpEligibleLoads) \
-    X(vpPredictedLoads) \
-    X(vpCorrectLoads) \
-    X(vpPredictedInsts) \
+    X(vpPredictedLoads) /* coverage numerator */ \
+    X(vpCorrectLoads) /* accuracy numerator */ \
+    X(vpPredictedInsts) /* all-instructions mode */ \
     X(vpCorrectInsts) \
     X(vpFlushes) \
-    X(vpReplays) \
+    X(vpReplays) /* oracle-replay suppressions */ \
     X(pvtFullDrops) \
-    X(prfPortDrops) \
+    X(prfPortDrops) /* design #1 write-port conflicts */ \
+    /* Tournament breakdown (Figure 8b). */ \
     X(tournamentDlvpFinal) \
     X(tournamentVtageFinal) \
+    /* DLVP specifics. */ \
     X(paqAllocs) \
     X(paqDrops) \
     X(paqBypass) \
     X(probes) \
     X(probeHits) \
     X(probeMisses) \
-    X(probeLate) \
+    X(probeLate) /* value arrived after rename */ \
     X(wayMispredicts) \
     X(dlvpPrefetches) \
     X(lscdBlocked) \
     X(lscdInserts) \
-    X(addrPredCorrect) \
+    X(addrPredCorrect) /* predicted addr == actual */ \
     X(addrPredWrong) \
+    /* Memory system. */ \
     X(l1dAccesses) \
     X(l1dMisses) \
     X(l2Accesses) \
     X(l3Accesses) \
     X(memAccesses) \
     X(tlbMisses) \
+    /* Other recovery. */ \
     X(branchFlushes) \
     X(memOrderFlushes) \
-    X(issueWaitCycles) \
-    X(dispatchWaitCycles) \
+    /* Pipeline bottleneck diagnostics. */ \
+    X(issueWaitCycles) /* sum(issue - dispatch) */ \
+    X(dispatchWaitCycles) /* sum(dispatch - fetch - depth) */ \
     X(robFullStalls) \
     X(iqFullStalls) \
-    X(fetchHaltCycles) \
+    X(fetchHaltCycles) /* waiting on a branch */ \
+    /* Register-file / VPE traffic (for the energy model). */ \
     X(prfReads) \
     X(prfWrites) \
     X(pvtReads) \
@@ -79,76 +87,9 @@ namespace dlvp::core
 
 struct CoreStats
 {
-    Cycle cycles = 0;
-    std::uint64_t committedInsts = 0;
-    std::uint64_t committedLoads = 0;
-    std::uint64_t committedStores = 0;
-    std::uint64_t committedBranches = 0;
-    std::uint64_t fetchedInsts = 0;
-
-    // Branch prediction.
-    std::uint64_t condBranches = 0;
-    std::uint64_t condMispredicts = 0;
-    std::uint64_t indirectBranches = 0;
-    std::uint64_t indirectMispredicts = 0;
-    std::uint64_t returnMispredicts = 0;
-
-    // Value prediction (counted at commit).
-    std::uint64_t vpEligibleLoads = 0;
-    std::uint64_t vpPredictedLoads = 0;   ///< coverage numerator
-    std::uint64_t vpCorrectLoads = 0;     ///< accuracy numerator
-    std::uint64_t vpPredictedInsts = 0;   ///< all-instructions mode
-    std::uint64_t vpCorrectInsts = 0;
-    std::uint64_t vpFlushes = 0;
-    std::uint64_t vpReplays = 0;          ///< oracle-replay suppressions
-    std::uint64_t pvtFullDrops = 0;
-    std::uint64_t prfPortDrops = 0; ///< design #1 write-port conflicts
-
-    // Tournament breakdown (Figure 8b).
-    std::uint64_t tournamentDlvpFinal = 0;
-    std::uint64_t tournamentVtageFinal = 0;
-
-    // DLVP specifics.
-    std::uint64_t paqAllocs = 0;
-    std::uint64_t paqDrops = 0;
-    std::uint64_t paqBypass = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t probeHits = 0;
-    std::uint64_t probeMisses = 0;
-    std::uint64_t probeLate = 0;          ///< value arrived after rename
-    std::uint64_t wayMispredicts = 0;
-    std::uint64_t dlvpPrefetches = 0;
-    std::uint64_t lscdBlocked = 0;
-    std::uint64_t lscdInserts = 0;
-    std::uint64_t addrPredCorrect = 0;    ///< predicted addr == actual
-    std::uint64_t addrPredWrong = 0;
-
-    // Memory system.
-    std::uint64_t l1dAccesses = 0;
-    std::uint64_t l1dMisses = 0;
-    std::uint64_t l2Accesses = 0;
-    std::uint64_t l3Accesses = 0;
-    std::uint64_t memAccesses = 0;
-    std::uint64_t tlbMisses = 0;
-
-    // Other recovery.
-    std::uint64_t branchFlushes = 0;
-    std::uint64_t memOrderFlushes = 0;
-
-    // Pipeline bottleneck diagnostics.
-    std::uint64_t issueWaitCycles = 0;    ///< sum(issue - dispatch)
-    std::uint64_t dispatchWaitCycles = 0; ///< sum(dispatch - fetch - depth)
-    std::uint64_t robFullStalls = 0;
-    std::uint64_t iqFullStalls = 0;
-    std::uint64_t fetchHaltCycles = 0;    ///< waiting on a branch
-
-    // Register-file / VPE traffic (for the energy model).
-    std::uint64_t prfReads = 0;
-    std::uint64_t prfWrites = 0;
-    std::uint64_t pvtReads = 0;
-    std::uint64_t pvtWrites = 0;
-    std::uint64_t predictorLookups = 0;
-    std::uint64_t predictorWrites = 0;
+#define DLVP_STATS_DECL_FIELD(f) std::uint64_t f = 0;
+    DLVP_CORE_STATS_FIELDS(DLVP_STATS_DECL_FIELD)
+#undef DLVP_STATS_DECL_FIELD
 
     /** Field-wise equality (sweep determinism checks). */
     bool operator==(const CoreStats &) const = default;

@@ -1,91 +1,83 @@
 /**
  * @file
- * LoadAccelerator registry. See accel.hh for the interface contract.
+ * LoadAccelerator table. See accel.hh for the interface contract.
  */
 
 #include "pred/accel.hh"
-
-#include <map>
-#include <utility>
 
 #include "common/run_error.hh"
 
 namespace dlvp::pred
 {
 
-// Defined in accel_builtin.cc / accel_zoo.cc. Called explicitly from
-// ensureBuiltins() so a static-library link cannot drop the
-// registrations (self-registering globals in unreferenced objects
-// would).
-void registerBuiltinAccelerators();
-void registerZooAccelerators();
+// Defined beside their adapters in accel_builtin.cc / accel_zoo.cc.
+std::unique_ptr<LoadAccelerator> makeBalcvpAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator> makeCapDlvpAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator> makeDvtageAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator> makeHermesAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator> makeNoneAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator> makePapDlvpAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator>
+makeStrideDlvpAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator>
+makeTournamentAccel(const AccelParams &);
+std::unique_ptr<LoadAccelerator> makeVtageAccel(const AccelParams &);
 
 namespace
 {
 
-// std::map, not unordered: acceleratorCatalog() iterates it, and the
-// determinism lint (rightly) bans unordered iteration order.
-std::map<std::string, AccelInfo> &
-registry()
-{
-    static std::map<std::string, AccelInfo> instance;
-    return instance;
-}
-
-void
-ensureBuiltins()
-{
-    static const bool once = [] {
-        registerBuiltinAccelerators();
-        registerZooAccelerators();
-        return true;
-    }();
-    (void)once;
-}
+// Ascending key order: list-predictors prints the rows as they stand,
+// and AccelRegistry.CatalogConstructsEveryKey checks the order (which
+// also rules out a duplicate key).
+const AccelInfo kAccelerators[] = {
+    {"balcvp",
+     "BALCVP: last-committed-value + equality prediction, immune to "
+     "in-flight conflicting stores",
+     &makeBalcvpAccel},
+    {"cap-dlvp",
+     "DLVP microarchitecture with the CAP correlated address "
+     "predictor (Bekerman+, ISCA 1999)",
+     &makeCapDlvpAccel},
+    {"dvtage",
+     "D-VTAGE: last values + stride deltas (Perais & Seznec, HPCA "
+     "2015)",
+     &makeDvtageAccel},
+    {"hermes",
+     "Hermes-style perceptron off-chip filter gating a last value "
+     "predictor (Bera+, MICRO 2022)",
+     &makeHermesAccel},
+    {"none", "no load acceleration (baseline core)", &makeNoneAccel},
+    {"pap-dlvp",
+     "DLVP: path-based address prediction + L1D probe (the paper)",
+     &makePapDlvpAccel},
+    {"stride-dlvp",
+     "DLVP microarchitecture with a stride address predictor",
+     &makeStrideDlvpAccel},
+    {"tournament",
+     "DLVP + VTAGE behind a per-PC tournament chooser (Figure 8)",
+     &makeTournamentAccel},
+    {"vtage",
+     "VTAGE context-based value prediction (Perais & Seznec, HPCA "
+     "2014)",
+     &makeVtageAccel},
+};
 
 } // namespace
-
-void
-registerAccelerator(const std::string &key,
-                    const std::string &description, AccelFactory factory)
-{
-    auto [it, inserted] =
-        registry().emplace(key, AccelInfo{key, description, factory});
-    (void)it;
-    if (!inserted) {
-        throw common::RunError(common::ErrorKind::Internal,
-                               "duplicate accelerator key '" + key + "'");
-    }
-}
-
-bool
-acceleratorRegistered(const std::string &key)
-{
-    ensureBuiltins();
-    return registry().count(key) != 0;
-}
 
 std::unique_ptr<LoadAccelerator>
 makeAccelerator(const std::string &key, const AccelParams &params)
 {
-    ensureBuiltins();
-    const auto it = registry().find(key);
-    if (it == registry().end()) {
-        throw common::RunError(common::ErrorKind::Internal,
-                               "unknown accelerator key '" + key + "'");
-    }
-    return it->second.factory(params);
+    for (const AccelInfo &info : kAccelerators)
+        if (key == info.key)
+            return info.factory(params);
+    throw common::RunError(common::ErrorKind::Internal,
+                           "unknown accelerator key '" + key + "'");
 }
 
-std::vector<AccelInfo>
+std::span<const AccelInfo>
 acceleratorCatalog()
 {
-    ensureBuiltins();
-    std::vector<AccelInfo> out;
-    out.reserve(registry().size());
-    for (const auto &[key, info] : registry())
-        out.push_back(info);
-    return out;
+    return kAccelerators;
 }
 
 } // namespace dlvp::pred

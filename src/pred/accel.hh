@@ -6,10 +6,10 @@
  * (PAP + cache probe), the CAP and stride address predictors it is
  * compared against, the VTAGE/D-VTAGE value predictors, the
  * DLVP+VTAGE tournament, and the newer BALCVP and Hermes-style
- * entries — implements this one interface and registers itself under
- * a string key. The core constructs its accelerator from the registry
- * and drives it through a fixed set of hooks; nothing in src/core
- * names a concrete predictor type.
+ * entries — implements this one interface and has one row, under a
+ * string key, in the constant table in accel.cc. The core constructs
+ * its accelerator from that table and drives it through a fixed set
+ * of hooks; nothing in src/core names a concrete predictor type.
  *
  * Contract (DESIGN.md §12 is the normative version):
  *
@@ -29,10 +29,10 @@
  *    field, which is what keeps pre-registry configs bit-identical.
  *  - No hook may allocate: all tables are sized in the constructor.
  *
- * Registration is by explicit function call (see accel.cc) rather
- * than static initializers, which a static-library link would drop.
- * The DLVP_ACCEL() marker wraps each registered key so dlvp-analyze
- * can cross-check the registry against the golden-stats table.
+ * The table is the only list of keys: its rows name the factories
+ * defined beside the adapters (accel_builtin.cc, accel_zoo.cc), so a
+ * static-library link cannot drop one. GoldenStats.PinsEveryAccelerator
+ * fails until every key is pinned by a golden CoreStats row.
  */
 
 #ifndef DLVP_PRED_ACCEL_HH
@@ -41,8 +41,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "pred/balcvp.hh"
@@ -56,14 +56,6 @@
 
 namespace dlvp::pred
 {
-
-/**
- * Marker for accelerator keys at their registration site; expands to
- * the key itself. dlvp-analyze's accel-registry rule collects every
- * DLVP_ACCEL("...") and fails the lint for any registered key missing
- * from the golden CoreStats table.
- */
-#define DLVP_ACCEL(key) key
 
 /**
  * The only CoreStats fields an accelerator may touch, passed by
@@ -165,9 +157,6 @@ class LoadAccelerator
   public:
     virtual ~LoadAccelerator() = default;
 
-    /** Registry key this instance was constructed under. */
-    virtual const char *key() const = 0;
-
     /** @{ Capability flags; constant for the instance's lifetime. */
     virtual bool predictsAddresses() const { return false; }
     virtual bool predictsValues() const { return false; }
@@ -267,28 +256,20 @@ class LoadAccelerator
 using AccelFactory =
     std::unique_ptr<LoadAccelerator> (*)(const AccelParams &params);
 
-/** One registry row, as enumerated by acceleratorCatalog(). */
+/** One row of the accelerator table, as acceleratorCatalog() lists it. */
 struct AccelInfo
 {
-    std::string key;
-    std::string description;
-    AccelFactory factory = nullptr;
+    const char *key;
+    const char *description;
+    AccelFactory factory;
 };
-
-/** Register @p key; re-registration of a key is an Internal error. */
-void registerAccelerator(const std::string &key,
-                         const std::string &description,
-                         AccelFactory factory);
-
-/** True when @p key is in the registry. */
-bool acceleratorRegistered(const std::string &key);
 
 /** Construct @p key; unknown keys throw RunError(Internal). */
 std::unique_ptr<LoadAccelerator>
 makeAccelerator(const std::string &key, const AccelParams &params);
 
-/** All registered accelerators, sorted by key. */
-std::vector<AccelInfo> acceleratorCatalog();
+/** The accelerator table, in ascending key order. */
+std::span<const AccelInfo> acceleratorCatalog();
 
 } // namespace dlvp::pred
 

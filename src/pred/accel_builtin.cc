@@ -61,13 +61,6 @@ vtageCommitTrain(Vtage &vtage, bool partition,
     }
 }
 
-/** The no-acceleration baseline: every capability off. */
-class NoneAccel : public LoadAccelerator
-{
-  public:
-    const char *key() const override { return "none"; }
-};
-
 /** The paper's scheme: PAP address prediction feeding the L1D probe. */
 class PapDlvpAccel : public LoadAccelerator
 {
@@ -76,7 +69,6 @@ class PapDlvpAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "pap-dlvp"; }
     bool predictsAddresses() const override { return true; }
     bool trainsAtExecute() const override { return true; }
     unsigned loadPathBits() const override
@@ -134,7 +126,6 @@ class CapDlvpAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "cap-dlvp"; }
     bool predictsAddresses() const override { return true; }
 
     AccelAddrPrediction
@@ -171,7 +162,6 @@ class StrideDlvpAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "stride-dlvp"; }
     bool predictsAddresses() const override { return true; }
     bool trainsAtExecute() const override { return true; }
 
@@ -215,7 +205,6 @@ class VtageAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "vtage"; }
     bool predictsValues() const override { return true; }
     bool trainsAtCommit() const override { return true; }
 
@@ -267,7 +256,6 @@ class DvtageAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "dvtage"; }
     bool predictsValues() const override { return true; }
     bool trainsAtCommit() const override { return true; }
 
@@ -329,7 +317,6 @@ class TournamentAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "tournament"; }
     bool predictsAddresses() const override { return true; }
     bool predictsValues() const override { return true; }
     bool trainsAtExecute() const override { return true; }
@@ -432,55 +419,52 @@ class TournamentAccel : public LoadAccelerator
     bool partition_;
 };
 
-template <typename T>
-std::unique_ptr<LoadAccelerator>
-make(const AccelParams &params)
-{
-    return std::make_unique<T>(params);
-}
-
-std::unique_ptr<LoadAccelerator>
-makeNone(const AccelParams &params)
-{
-    (void)params;
-    return std::make_unique<NoneAccel>();
-}
-
 } // namespace
 
-void
-registerBuiltinAccelerators()
+/**
+ * The no-acceleration baseline: the interface's defaults, every
+ * capability off.
+ */
+std::unique_ptr<LoadAccelerator>
+makeNoneAccel(const AccelParams &)
 {
-    registerAccelerator(DLVP_ACCEL("none"),
-                        "no load acceleration (baseline core)",
-                        &makeNone);
-    registerAccelerator(
-        DLVP_ACCEL("pap-dlvp"),
-        "DLVP: path-based address prediction + L1D probe (the paper)",
-        &make<PapDlvpAccel>);
-    registerAccelerator(
-        DLVP_ACCEL("cap-dlvp"),
-        "DLVP microarchitecture with the CAP correlated address "
-        "predictor (Bekerman+, ISCA 1999)",
-        &make<CapDlvpAccel>);
-    registerAccelerator(
-        DLVP_ACCEL("stride-dlvp"),
-        "DLVP microarchitecture with a stride address predictor",
-        &make<StrideDlvpAccel>);
-    registerAccelerator(
-        DLVP_ACCEL("vtage"),
-        "VTAGE context-based value prediction (Perais & Seznec, HPCA "
-        "2014)",
-        &make<VtageAccel>);
-    registerAccelerator(
-        DLVP_ACCEL("dvtage"),
-        "D-VTAGE: last values + stride deltas (Perais & Seznec, HPCA "
-        "2015)",
-        &make<DvtageAccel>);
-    registerAccelerator(
-        DLVP_ACCEL("tournament"),
-        "DLVP + VTAGE behind a per-PC tournament chooser (Figure 8)",
-        &make<TournamentAccel>);
+    return std::make_unique<LoadAccelerator>();
+}
+
+std::unique_ptr<LoadAccelerator>
+makePapDlvpAccel(const AccelParams &params)
+{
+    return std::make_unique<PapDlvpAccel>(params);
+}
+
+std::unique_ptr<LoadAccelerator>
+makeCapDlvpAccel(const AccelParams &params)
+{
+    return std::make_unique<CapDlvpAccel>(params);
+}
+
+std::unique_ptr<LoadAccelerator>
+makeStrideDlvpAccel(const AccelParams &params)
+{
+    return std::make_unique<StrideDlvpAccel>(params);
+}
+
+std::unique_ptr<LoadAccelerator>
+makeVtageAccel(const AccelParams &params)
+{
+    return std::make_unique<VtageAccel>(params);
+}
+
+std::unique_ptr<LoadAccelerator>
+makeDvtageAccel(const AccelParams &params)
+{
+    return std::make_unique<DvtageAccel>(params);
+}
+
+std::unique_ptr<LoadAccelerator>
+makeTournamentAccel(const AccelParams &params)
+{
+    return std::make_unique<TournamentAccel>(params);
 }
 
 } // namespace dlvp::pred

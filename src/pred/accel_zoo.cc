@@ -27,7 +27,6 @@ class BalcvpAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "balcvp"; }
     bool predictsValues() const override { return true; }
     bool trainsAtCommit() const override { return true; }
 
@@ -96,7 +95,6 @@ class HermesAccel : public LoadAccelerator
     {
     }
 
-    const char *key() const override { return "hermes"; }
     bool predictsValues() const override { return true; }
     bool trainsAtExecute() const override { return true; }
     bool trainsAtCommit() const override { return true; }
@@ -181,28 +179,18 @@ class HermesAccel : public LoadAccelerator
     Hermes hermes_;
 };
 
-template <typename T>
-std::unique_ptr<LoadAccelerator>
-make(const AccelParams &params)
-{
-    return std::make_unique<T>(params);
-}
-
 } // namespace
 
-void
-registerZooAccelerators()
+std::unique_ptr<LoadAccelerator>
+makeBalcvpAccel(const AccelParams &params)
 {
-    registerAccelerator(
-        DLVP_ACCEL("balcvp"),
-        "BALCVP: last-committed-value + equality prediction, immune "
-        "to in-flight conflicting stores",
-        &make<BalcvpAccel>);
-    registerAccelerator(
-        DLVP_ACCEL("hermes"),
-        "Hermes-style perceptron off-chip filter gating a last value "
-        "predictor (Bera+, MICRO 2022)",
-        &make<HermesAccel>);
+    return std::make_unique<BalcvpAccel>(params);
+}
+
+std::unique_ptr<LoadAccelerator>
+makeHermesAccel(const AccelParams &params)
+{
+    return std::make_unique<HermesAccel>(params);
 }
 
 } // namespace dlvp::pred

@@ -308,9 +308,12 @@ Server::connectionLoop(std::shared_ptr<Connection> conn)
             if (!req.isObject())
                 throw RunError(ErrorKind::Internal,
                                "request must be a JSON object");
-            if (const JsonValue *v = req.find("id"))
-                id = v->asString();
-            handleRequest(conn, req);
+            if (const JsonValue *v = req.find("id")) {
+                if (!v->isString())
+                    badField("id", "a string");
+                id = v->str;
+            }
+            handleRequest(conn, req, id);
         } catch (const RunError &e) {
             {
                 std::lock_guard<std::mutex> lock(sm_);
@@ -328,17 +331,17 @@ Server::connectionLoop(std::shared_ptr<Connection> conn)
 
 void
 Server::handleRequest(const std::shared_ptr<Connection> &conn,
-                      const JsonValue &req)
+                      const JsonValue &req, const std::string &id)
 {
-    std::string id;
-    if (const JsonValue *v = req.find("id"))
-        id = v->asString();
     std::string cmd = "run";
-    if (const JsonValue *v = req.find("cmd"))
-        cmd = v->asString(cmd);
+    if (const JsonValue *v = req.find("cmd")) {
+        if (!v->isString())
+            badField("cmd", "a string");
+        cmd = v->str;
+    }
 
     if (cmd == "run") {
-        admit(conn, req);
+        admit(conn, req, id);
         return;
     }
     if (cmd == "ping") {
@@ -398,11 +401,10 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
 
 void
 Server::admit(const std::shared_ptr<Connection> &conn,
-              const JsonValue &req)
+              const JsonValue &req, const std::string &id)
 {
     auto job = std::make_shared<Job>();
-    if (const JsonValue *v = req.find("id"))
-        job->id = v->asString();
+    job->id = id;
 
     const JsonValue *w = req.find("workload");
     if (w == nullptr || !w->isString() || w->str.empty())

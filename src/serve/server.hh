@@ -153,16 +153,19 @@ class Server
     void workerLoop();
     void watchdogLoop();
 
-    /** Dispatch one parsed request; sends the response itself. */
+    /**
+     * Dispatch one parsed request, whose "id" connectionLoop already
+     * read into @p id; sends the response itself.
+     */
     void handleRequest(const std::shared_ptr<Connection> &conn,
-                       const JsonValue &req);
+                       const JsonValue &req, const std::string &id);
 
     /**
      * Admission for cmd=run: answers a cached key on the spot,
      * otherwise queues (possibly degraded) or rejects.
      */
     void admit(const std::shared_ptr<Connection> &conn,
-               const JsonValue &req);
+               const JsonValue &req, const std::string &id);
 
     /**
      * One cache lookup for @p job's key: the hit or quarantined

@@ -106,46 +106,37 @@ const std::vector<ConfigDesc> &
 configCatalog()
 {
     static const std::vector<ConfigDesc> catalog = {
-        {"baseline", "none", "no value prediction (Table 4 core)",
-         &baselineVp},
-        {"dlvp", "pap-dlvp",
-         "the paper's DLVP: PAP address prediction + L1D probe",
+        {"baseline", "no value prediction (Table 4 core)", &baselineVp},
+        {"dlvp", "the paper's DLVP: PAP address prediction + L1D probe",
          &dlvpConfig},
-        {"cap", "cap-dlvp",
-         "DLVP microarchitecture with the CAP address predictor",
+        {"cap", "DLVP microarchitecture with the CAP address predictor",
          [] { return capConfig(24); }},
-        {"stride-dlvp", "stride-dlvp",
+        {"stride-dlvp",
          "DLVP with a computation-based stride address predictor",
          &strideDlvpConfig},
-        {"vtage", "vtage",
-         "VTAGE, static opcode filter, loads only (SS5.2.2 best)",
+        {"vtage", "VTAGE, static opcode filter, loads only (SS5.2.2 best)",
          &vtageConfig},
-        {"vtage-vanilla", "vtage", "VTAGE, no confidence filter",
+        {"vtage-vanilla", "VTAGE, no confidence filter",
          [] {
              return vtageConfigWith(pred::VtageFilter::None, true);
          }},
-        {"vtage-dynamic", "vtage",
-         "VTAGE with the dynamic confidence filter",
+        {"vtage-dynamic", "VTAGE with the dynamic confidence filter",
          [] {
              return vtageConfigWith(pred::VtageFilter::Dynamic, true);
          }},
-        {"vtage-all", "vtage",
-         "VTAGE over all value-producing instructions",
+        {"vtage-all", "VTAGE over all value-producing instructions",
          [] {
              return vtageConfigWith(pred::VtageFilter::Static, false);
          }},
-        {"dvtage", "dvtage",
-         "D-VTAGE: last-value table + stride deltas", &dvtageConfig},
-        {"tournament", "tournament",
-         "DLVP + VTAGE behind a per-PC chooser (Figure 8)",
+        {"dvtage", "D-VTAGE: last-value table + stride deltas", &dvtageConfig},
+        {"tournament", "DLVP + VTAGE behind a per-PC chooser (Figure 8)",
          &tournamentConfig},
-        {"tournament-part", "tournament",
+        {"tournament-part",
          "tournament with partitioned VTAGE training (SS5.2.3)",
          &partitionedTournamentConfig},
-        {"balcvp", "balcvp",
-         "BALCVP last-committed-value + equality prediction",
+        {"balcvp", "BALCVP last-committed-value + equality prediction",
          &balcvpConfig},
-        {"hermes", "hermes",
+        {"hermes",
          "Hermes-style off-chip perceptron gating last-value "
          "prediction",
          &hermesConfig},

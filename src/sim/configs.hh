@@ -2,9 +2,10 @@
  * @file
  * Named simulator configurations matching the paper's evaluated design
  * points (Table 4 plus the §5 sweeps) and the post-registry zoo
- * entries. Configurations are data — a name, the LoadAccelerator
- * registry key it instantiates, a description, and a parameter
- * builder — enumerable by the CLI and cross-checked by dlvp-analyze.
+ * entries. Configurations are data — a name, a description, and a
+ * parameter builder whose VpConfig::accel names the LoadAccelerator
+ * table row it instantiates — enumerable by the CLI and checked
+ * against the accelerator table by GoldenStats.PinsEveryAccelerator.
  */
 
 #ifndef DLVP_SIM_CONFIGS_HH
@@ -22,7 +23,6 @@ namespace dlvp::sim
 struct ConfigDesc
 {
     const char *name;        ///< CLI / golden-table name
-    const char *accel;       ///< LoadAccelerator registry key
     const char *description; ///< one line, shown by list-configs
     core::VpConfig (*make)();
 };

@@ -395,11 +395,10 @@ runSweep(const SweepSpec &spec)
                     // Capped exponential with per-job-seed jitter
                     // (see retryDelayMs): bounded, deterministic
                     // under any job count.
-                    if (const unsigned ms = retryDelayMs(
-                            spec.retryBackoffMs, attempt + 1,
-                            jobSeed(w, cfg_name)))
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(ms));
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(retryDelayMs(
+                            kRetryBackoffMs, attempt + 1,
+                            jobSeed(w, cfg_name))));
                     continue;
                 }
                 outcome.status =

@@ -196,13 +196,6 @@ struct SweepSpec
 
     // -- fault tolerance (DESIGN.md §9) --------------------------
     /**
-     * Base for the capped exponential backoff before retry r
-     * (1-based): see retryDelayMs(). 0 disables the sleep entirely
-     * (tests). The delay gives a concurrently failing store or
-     * allocator time to drain.
-     */
-    unsigned retryBackoffMs = 5;
-    /**
      * Sweep-level wall-clock deadline in milliseconds; 0 = none.
      * When it expires, queued jobs are cancelled cleanly (status
      * timeout, no simulation) and in-flight jobs finish; runSweep
@@ -294,6 +287,13 @@ std::uint64_t jobSeed(const std::string &workload,
  * bit-identical to a first-try row.
  */
 inline constexpr unsigned kMaxAttempts = 2;
+
+/**
+ * Base of the capped exponential backoff before a retry (see
+ * retryDelayMs()): the delay gives a concurrently failing store or
+ * allocator time to drain.
+ */
+inline constexpr unsigned kRetryBackoffMs = 5;
 
 /** Ceiling every retry backoff is capped at, in milliseconds. */
 inline constexpr std::uint64_t kMaxRetryBackoffMs = 1000;

@@ -216,13 +216,15 @@ TEST(AccelRegistry, CatalogConstructsEveryKey)
 {
     const auto catalog = acceleratorCatalog();
     ASSERT_FALSE(catalog.empty());
+    // Strictly ascending: no key twice, and list-predictors prints
+    // the table in key order.
+    for (std::size_t i = 1; i < catalog.size(); ++i)
+        EXPECT_LT(std::string(catalog[i - 1].key), catalog[i].key);
     for (const AccelInfo &info : catalog) {
         SCOPED_TRACE(info.key);
-        EXPECT_TRUE(acceleratorRegistered(info.key));
         auto accel = makeAccelerator(info.key, AccelParams{});
         ASSERT_NE(accel, nullptr);
-        EXPECT_EQ(accel->key(), info.key);
-        EXPECT_FALSE(info.description.empty());
+        EXPECT_NE(std::string(info.description), "");
         // The spec-state token must round-trip even when untouched.
         const std::uint64_t token = accel->specStateToken();
         accel->restoreSpecState(token);
@@ -234,7 +236,6 @@ TEST(AccelRegistry, UnknownKeyThrowsRunError)
 {
     EXPECT_THROW((void)makeAccelerator("no-such-accel", AccelParams{}),
                  common::RunError);
-    EXPECT_FALSE(acceleratorRegistered("no-such-accel"));
 }
 
 /**

@@ -43,15 +43,6 @@ lintFile(const std::string &path, const std::string &rule)
     return runAnalysis(config);
 }
 
-std::vector<Finding>
-lintStatsHeader(const std::string &path)
-{
-    AnalyzeConfig config;
-    config.coreStatsPath = path;
-    config.rules = {"stats-registry"};
-    return runAnalysis(config);
-}
-
 bool
 anyMessageContains(const std::vector<Finding> &findings,
                    const std::string &needle)
@@ -155,27 +146,6 @@ TEST(AnalyzeDeterminism, CleanFixtureHasNoFindings)
 }
 
 // ---------------------------------------------------------------------
-// stats-registry
-// ---------------------------------------------------------------------
-
-TEST(AnalyzeStatsRegistry, FlagsMissingEntryStaleEntryAndNoZeroInit)
-{
-    const auto findings = lintStatsHeader(fixture("stats_bad.hh"));
-    EXPECT_TRUE(anyMessageContains(findings, "'unlistedCounter'"));
-    EXPECT_TRUE(anyMessageContains(findings, "'removedCounter'"));
-    EXPECT_TRUE(anyMessageContains(
-        findings, "'committedInsts' is not zero-initialized"));
-    EXPECT_EQ(findings.size(), 3u);
-}
-
-TEST(AnalyzeStatsRegistry, CleanHeaderHasNoFindings)
-{
-    const auto findings = lintStatsHeader(fixture("stats_good.hh"));
-    EXPECT_TRUE(findings.empty())
-        << findings.front().message;
-}
-
-// ---------------------------------------------------------------------
 // spec-state
 // ---------------------------------------------------------------------
 
@@ -248,50 +218,6 @@ TEST(AnalyzeErrorTaxonomy, ServeSourcesAreClean)
     const auto findings = runAnalysis(config);
     for (const Finding &f : findings)
         ADD_FAILURE() << f.file << ":" << f.line << ": " << f.message;
-}
-
-// ---------------------------------------------------------------------
-// accel-registry
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-std::vector<Finding>
-lintAccelRegistry(const std::string &src, const std::string &golden)
-{
-    AnalyzeConfig config;
-    config.accelSourcePaths = {fixture(src)};
-    config.goldenStatsPath = fixture(golden);
-    config.rules = {"accel-registry"};
-    return runAnalysis(config);
-}
-
-} // namespace
-
-TEST(AnalyzeAccelRegistry, FlagsUnpinnedKeyAndUnregisteredRow)
-{
-    const auto findings =
-        lintAccelRegistry("accel_bad.cc", "accel_golden_bad.inc");
-    EXPECT_TRUE(anyMessageContains(
-        findings, "'orphan' is registered but pinned by no golden"));
-    EXPECT_TRUE(anyMessageContains(
-        findings, "pins accelerator 'ghost'"));
-    // The #define and the comment example register nothing.
-    EXPECT_FALSE(anyMessageContains(findings, "'comment-key'"));
-    EXPECT_FALSE(anyMessageContains(findings, "'key'"));
-    EXPECT_EQ(findings.size(), 2u);
-    for (const Finding &f : findings)
-        EXPECT_EQ(f.rule, "accel-registry") << f.message;
-}
-
-TEST(AnalyzeAccelRegistry, PinnedKeysAndSuppressionAreClean)
-{
-    const auto findings =
-        lintAccelRegistry("accel_good.cc", "accel_golden_good.inc");
-    EXPECT_TRUE(findings.empty())
-        << findings.front().file << ":" << findings.front().line
-        << ": " << findings.front().message;
 }
 
 // ---------------------------------------------------------------------
@@ -515,28 +441,10 @@ TEST(AnalyzeRepo, SourceTreeIsClean)
     ASSERT_FALSE(config.files.empty());
     config.rootPath = root.string();
     config.layersPath = shippedLayersManifest();
-    config.coreStatsPath =
-        (root / "src" / "core" / "core_stats.hh").string();
-    config.goldenStatsPath =
-        (root / "tests" / "golden_core_stats.inc").string();
-    for (const std::string &f : config.files)
-        if (f.find("/src/pred/") != std::string::npos)
-            config.accelSourcePaths.push_back(f);
-    ASSERT_FALSE(config.accelSourcePaths.empty());
 
     const auto findings = runAnalysis(config);
     for (const Finding &f : findings)
         ADD_FAILURE() << f.file << ":" << f.line << ": [" << f.rule
                       << "] " << f.message;
     EXPECT_TRUE(findings.empty());
-}
-
-TEST(AnalyzeRepo, RealCoreStatsRegistryIsConsistent)
-{
-    namespace fs = std::filesystem;
-    const fs::path hdr = fs::path(DLVP_ANALYZE_REPO_ROOT) / "src" /
-                         "core" / "core_stats.hh";
-    const auto findings = lintStatsHeader(hdr.string());
-    EXPECT_TRUE(findings.empty())
-        << findings.front().message;
 }

@@ -58,7 +58,6 @@ gridSpec(TraceStore &store, unsigned jobs = 2)
     spec.baseline = baselineVp();
     spec.jobs = jobs;
     spec.store = &store;
-    spec.retryBackoffMs = 0; // keep tests fast
     return spec;
 }
 
@@ -487,7 +486,6 @@ TEST(FaultStorm, RandomPlansNeverCrashAndSpareHealthyRows)
         TraceStore store;
         auto spec = clean_spec;
         spec.store = &store;
-        spec.retryBackoffMs = 0;
         spec.jobs = 1 + static_cast<unsigned>(rng() % 4);
         const auto result = runSweep(spec);
         ASSERT_EQ(result.rows.size(), all.size());

@@ -1393,6 +1393,19 @@ TEST(Cli, MalformedNumericOptionExitsTwo)
     }
 }
 
+// An option no command reads is refused like any unknown option,
+// never accepted and silently ignored.
+TEST(Cli, UnknownOptionExitsTwo)
+{
+    for (const char *args :
+         {"run mcf --insts 2000 --warmup 5", "run mcf --no-such-option"}) {
+        std::string err;
+        EXPECT_EQ(runCli(args, err), 2) << args;
+        EXPECT_NE(err.find("unknown option '--"), std::string::npos)
+            << args << ": " << err;
+    }
+}
+
 /** Sampled sweep over the mega workload, parameterized by jobs. */
 sim::SweepResult
 sampledSweep(unsigned jobs)

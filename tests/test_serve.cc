@@ -1278,6 +1278,28 @@ TEST(ServeDaemon, BadRequestsGetStructuredErrorsNotDisconnects)
             << resp;
     }
 
+    // A non-string cmd or id is an error naming it: a numeric cmd
+    // does not fall back to a run, and a numeric id is refused rather
+    // than left out of the reply.
+    const std::vector<std::pair<std::string, std::string>> badIds = {
+        {"{\"cmd\": 5, \"workload\": \"mcf\", \"config\": \"dlvp\", "
+         "\"id\": \"req-9\"}",
+         "cmd"},
+        {"{\"cmd\": 5, \"workload\": \"mcf\", \"config\": \"dlvp\", "
+         "\"id\": 7}",
+         "id"},
+        {"{\"cmd\": \"ping\", \"id\": 7}", "id"},
+    };
+    for (const auto &[req, name] : badIds) {
+        const std::string resp = client.requestRaw(req);
+        EXPECT_EQ(strField(resp, "status"), "error") << req;
+        EXPECT_NE(resp.find("\\\"" + name + "\\\" must be a string"),
+                  std::string::npos)
+            << resp;
+    }
+    EXPECT_EQ(strField(client.requestRaw(badIds[0].first), "id"), "req-9")
+        << "a string id is echoed on a bad cmd";
+
     // The connection is still healthy after every bad request.
     EXPECT_NE(client.requestRaw("{\"cmd\": \"ping\"}")
                   .find("\"pong\": true"),

@@ -180,189 +180,6 @@ runDeterminismRule(const SourceFile &f, const SourceFile *sibling,
 }
 
 // ---------------------------------------------------------------------
-// Rule: stats-registry
-// ---------------------------------------------------------------------
-
-void
-runStatsRegistryRule(const SourceFile &f, const std::string &macroName,
-                     const std::string &structName, Reporter &rep)
-{
-    // X-macro entries: from "#define <macroName>(" through the last
-    // backslash-continued line.
-    std::map<std::string, unsigned> macroEntries; // name -> line
-    unsigned macroLine = 0;
-    for (std::size_t li = 0; li < f.code.size(); ++li) {
-        const std::string &line = f.code[li];
-        if (line.find("#define") == std::string::npos ||
-            line.find(macroName) == std::string::npos)
-            continue;
-        macroLine = static_cast<unsigned>(li + 1);
-        static const std::regex entryRe(R"(X\(\s*(\w+)\s*\))");
-        for (std::size_t lj = li;; ++lj) {
-            if (lj >= f.code.size())
-                break;
-            const std::string &body = f.code[lj];
-            if (lj > li) {
-                auto begin = std::sregex_iterator(body.begin(),
-                                                  body.end(), entryRe);
-                for (auto it = begin; it != std::sregex_iterator(); ++it)
-                    macroEntries.emplace(
-                        (*it)[1].str(),
-                        static_cast<unsigned>(lj + 1));
-            }
-            const auto lastNonSpace = body.find_last_not_of(" \t");
-            if (lastNonSpace == std::string::npos ||
-                body[lastNonSpace] != '\\')
-                break;
-        }
-        break;
-    }
-    if (macroLine == 0) {
-        rep.report(f, 1, detail::kRuleStatsRegistry,
-                   "registry X-macro '" + macroName + "' not found");
-        return;
-    }
-
-    // Struct fields: the brace-matched region after "struct <name>".
-    const std::vector<Token> &toks = f.tokens;
-    std::size_t bodyBegin = toks.size(), bodyEnd = toks.size();
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (toks[i].text == "struct" && toks[i + 1].text == structName &&
-            toks[i + 2].text == "{") {
-            bodyBegin = i + 2;
-            bodyEnd = detail::skipBraces(toks, i + 2);
-            break;
-        }
-    }
-    if (bodyBegin == toks.size()) {
-        rep.report(f, macroLine, detail::kRuleStatsRegistry,
-                   "struct '" + structName + "' not found");
-        return;
-    }
-    const unsigned structFirstLine = toks[bodyBegin].line;
-    const unsigned structLastLine = toks[bodyEnd - 1].line;
-
-    struct FieldInfo
-    {
-        unsigned line = 0;
-        bool zeroInit = false;
-    };
-    std::map<std::string, FieldInfo> fields;
-    // Data members are single-line "Type name = init;" declarations;
-    // anything with parentheses on the line is a function.
-    static const std::regex fieldRe(
-        R"(^\s*[A-Za-z_][\w:]*\s+(\w+)\s*(=\s*([^;]*?)\s*)?;)");
-    for (unsigned ln = structFirstLine; ln <= structLastLine; ++ln) {
-        const std::string &line = f.code[ln - 1];
-        if (line.find('(') != std::string::npos ||
-            line.find("using") != std::string::npos ||
-            line.find("static") != std::string::npos)
-            continue;
-        std::smatch m;
-        if (!std::regex_search(line, m, fieldRe))
-            continue;
-        FieldInfo info;
-        info.line = ln;
-        info.zeroInit = m[2].matched && m[3].str() == "0";
-        fields.emplace(m[1].str(), info);
-    }
-
-    for (const auto &[name, info] : fields) {
-        if (!macroEntries.count(name))
-            rep.report(f, info.line, detail::kRuleStatsRegistry,
-                       "field '" + name + "' missing from " +
-                           macroName +
-                           " (sweeps/goldens will silently skip it)");
-        if (!info.zeroInit)
-            rep.report(f, info.line, detail::kRuleStatsRegistry,
-                       "field '" + name +
-                           "' is not zero-initialized ('= 0')");
-    }
-    for (const auto &[name, line] : macroEntries) {
-        if (!fields.count(name))
-            rep.report(f, line, detail::kRuleStatsRegistry,
-                       "registry entry '" + name +
-                           "' names no field of " + structName);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule: accel-registry
-// ---------------------------------------------------------------------
-
-/**
- * Cross-check the LoadAccelerator registry against the golden
- * CoreStats table: every key registered under DLVP_ACCEL("<key>")
- * must appear in some golden row's accelerator column, and every
- * golden accelerator column must name a registered key. A registered
- * accelerator without a golden row has no bit-identity anchor — the
- * exact gap this lint closes.
- *
- * Both sides of the check live inside string literals, which the
- * shared stripper blanks, so this rule scans raw lines.
- */
-void
-runAccelRegistryRule(const std::vector<SourceFile *> &sources,
-                     const SourceFile &golden, Reporter &rep)
-{
-    // key -> first registration site (file, line)
-    std::map<std::string, std::pair<const SourceFile *, unsigned>>
-        registered;
-    static const std::regex markerRe(
-        R"re(DLVP_ACCEL\(\s*"([^"]*)"\s*\))re");
-    for (const SourceFile *f : sources) {
-        for (std::size_t li = 0; li < f->raw.size(); ++li) {
-            const std::string &line = f->raw[li];
-            // Comments (stripped from .code) and the marker's own
-            // #define don't register anything; only use sites do.
-            if (li >= f->code.size() ||
-                f->code[li].find("DLVP_ACCEL") == std::string::npos)
-                continue;
-            if (line.find("#define") != std::string::npos)
-                continue;
-            std::smatch m;
-            if (!std::regex_search(line, m, markerRe))
-                continue;
-            registered.emplace(
-                m[1].str(),
-                std::make_pair(f, static_cast<unsigned>(li + 1)));
-        }
-    }
-
-    // Golden rows: {"workload", "config", "accel-key", ...
-    std::map<std::string, unsigned> pinned; // key -> first row line
-    static const std::regex rowRe(
-        R"re(^\s*\{\s*"[^"]*"\s*,\s*"[^"]*"\s*,\s*"([^"]*)")re");
-    for (std::size_t li = 0; li < golden.raw.size(); ++li) {
-        std::smatch m;
-        if (std::regex_search(golden.raw[li], m, rowRe))
-            pinned.emplace(m[1].str(),
-                           static_cast<unsigned>(li + 1));
-    }
-
-    if (registered.empty()) {
-        rep.report(golden, 1, detail::kRuleAccelRegistry,
-                   "no DLVP_ACCEL(\"...\") registration sites found "
-                   "in the accelerator sources");
-        return;
-    }
-    for (const auto &[key, site] : registered) {
-        if (!pinned.count(key))
-            rep.report(*site.first, site.second,
-                       detail::kRuleAccelRegistry,
-                       "accelerator '" + key +
-                           "' is registered but pinned by no golden "
-                           "CoreStats row (no bit-identity anchor)");
-    }
-    for (const auto &[key, line] : pinned) {
-        if (!registered.count(key))
-            rep.report(golden, line, detail::kRuleAccelRegistry,
-                       "golden row pins accelerator '" + key +
-                           "', which no DLVP_ACCEL site registers");
-    }
-}
-
-// ---------------------------------------------------------------------
 // Rule: spec-state
 // ---------------------------------------------------------------------
 
@@ -626,10 +443,8 @@ allRules()
 {
     static const std::vector<std::string> rules = {
         detail::kRuleDeterminism,
-        detail::kRuleStatsRegistry,
         detail::kRuleSpecState,
         detail::kRuleErrorTaxonomy,
-        detail::kRuleAccelRegistry,
         detail::kRuleLayering,
         detail::kRuleLockDiscipline,
         detail::kRuleHotPath,
@@ -809,13 +624,6 @@ runAnalysis(const AnalyzeConfig &config)
             ranRules.insert(r);
     if (haveManifest && ruleEnabled(config, kRuleLayering))
         ranRules.insert(kRuleLayering);
-    if (!config.coreStatsPath.empty() &&
-        ruleEnabled(config, kRuleStatsRegistry))
-        ranRules.insert(kRuleStatsRegistry);
-    if (!config.goldenStatsPath.empty() &&
-        !config.accelSourcePaths.empty() &&
-        ruleEnabled(config, kRuleAccelRegistry))
-        ranRules.insert(kRuleAccelRegistry);
     if (ruleEnabled(config, kRuleHotPath))
         ranRules.insert(kRuleHotPath);
 
@@ -847,33 +655,6 @@ runAnalysis(const AnalyzeConfig &config)
                     manifestFindings.end());
 
     // ---- Global phase --------------------------------------------
-    if (!config.coreStatsPath.empty() &&
-        ruleEnabled(config, kRuleStatsRegistry)) {
-        if (SourceFile *coreStats = load(config.coreStatsPath))
-            runStatsRegistryRule(*coreStats, config.statsMacroName,
-                                 config.statsStructName, rep);
-        else
-            findings.push_back({"usage", config.coreStatsPath, 0,
-                                "cannot read stats header"});
-    }
-    if (!config.goldenStatsPath.empty() &&
-        !config.accelSourcePaths.empty() &&
-        ruleEnabled(config, kRuleAccelRegistry)) {
-        SourceFile *golden = load(config.goldenStatsPath);
-        if (!golden)
-            findings.push_back({"usage", config.goldenStatsPath, 0,
-                                "cannot read golden stats table"});
-        std::vector<SourceFile *> accelSources;
-        for (const std::string &p : config.accelSourcePaths) {
-            if (SourceFile *sf = load(p))
-                accelSources.push_back(sf);
-            else
-                findings.push_back({"usage", p, 0, "cannot read file"});
-        }
-        if (golden)
-            runAccelRegistryRule(accelSources, *golden, rep);
-    }
-
     if (ruleEnabled(config, kRuleHotPath)) {
         std::vector<const SourceFile *> indexed;
         for (const auto &[path, file] : modelCache)

@@ -2,7 +2,7 @@
  * @file
  * dlvp-analyze: repo-specific static analysis for the DLVP simulator.
  *
- * Nine rule families guard the repo's core contract — bit-identical
+ * Seven rule families guard the repo's core contract — bit-identical
  * CoreStats across thread counts, retries, and engine rewrites
  * (DESIGN.md §10):
  *
@@ -11,10 +11,6 @@
  *                     (their order varies across libstdc++ versions
  *                     and ASLR runs), no pointer-keyed ordered
  *                     containers (pointer order is allocation order).
- *   stats-registry    every CoreStats field appears in the
- *                     DLVP_CORE_STATS_FIELDS X-macro and is
- *                     zero-initialized; every X-macro entry names a
- *                     real field.
  *   spec-state        every member tagged DLVP_SPEC_STATE has both a
  *                     snapshot site and a restore site in its
  *                     component (header + sibling .cc) — the flush
@@ -22,10 +18,6 @@
  *   error-taxonomy    job-reachable code throws only RunError (or
  *                     rethrows); no abort()/exit()/terminate() outside
  *                     the logging layer.
- *   accel-registry    every LoadAccelerator key registered under a
- *                     DLVP_ACCEL("...") marker is pinned by at least
- *                     one golden CoreStats row, and every golden row
- *                     names a registered key.
  *   layering          the include graph respects the committed
  *                     dependency DAG in tools/analyze/layers.txt; any
  *                     back-edge (core including serve, ...) or
@@ -95,26 +87,6 @@ struct AnalyzeConfig
      * disables the layering rule.
      */
     std::string layersPath;
-
-    /**
-     * Path of the stats header holding the registry X-macro and the
-     * struct it mirrors; empty disables the stats-registry rule.
-     */
-    std::string coreStatsPath;
-    std::string statsMacroName = "DLVP_CORE_STATS_FIELDS";
-    std::string statsStructName = "CoreStats";
-
-    /**
-     * Files scanned for DLVP_ACCEL("<key>") registration markers
-     * (the accel-registry rule); empty disables the rule.
-     */
-    std::vector<std::string> accelSourcePaths;
-
-    /**
-     * Golden CoreStats table (.inc) whose rows pin accelerator keys
-     * in their third column; empty disables the accel-registry rule.
-     */
-    std::string goldenStatsPath;
 
     /** Restrict to these rules; empty = all. */
     std::vector<std::string> rules;

@@ -586,7 +586,6 @@ isNonCallKeyword(const std::string &t)
         "new",      "delete",       "operator",   "assert",
         "defined",  "typeid",       "co_return",  "co_await",
         "DLVP_GUARDED_BY", "DLVP_REQUIRES", "DLVP_SPEC_STATE",
-        "DLVP_ACCEL",
     };
     return kKeywords.count(t) != 0;
 }

@@ -8,8 +8,6 @@
  *   dlvp-analyze --rule determinism src/trace/memory_image.cc
  *   dlvp-analyze --compile-commands build/compile_commands.json \
  *                --json                           # CI mode
- *   dlvp-analyze --core-stats tests/fixtures/analyze/bad_stats.hh \
- *                --rule stats-registry            # fixture mode
  */
 
 #include <algorithm>
@@ -43,18 +41,6 @@ usage(std::ostream &os)
           "                            'none' disables)\n"
           "  --json                    machine-readable findings on\n"
           "                            stdout instead of file:line\n"
-          "  --core-stats <hdr>        stats header for the registry\n"
-          "                            rule (default:\n"
-          "                            <root>/src/core/core_stats.hh;\n"
-          "                            'none' disables)\n"
-          "  --golden-stats <inc>      golden CoreStats table for the\n"
-          "                            accel-registry rule (default:\n"
-          "                            <root>/tests/golden_core_stats.inc;\n"
-          "                            'none' disables)\n"
-          "  --accel-src <file>        file scanned for DLVP_ACCEL\n"
-          "                            markers (repeatable; default:\n"
-          "                            every .cc/.hh under\n"
-          "                            <root>/src/pred)\n"
           "  --rule <name>             restrict to a rule (repeatable):\n"
           "                            ";
     bool first = true;
@@ -127,14 +113,9 @@ main(int argc, char **argv)
 {
     std::string root = ".";
     std::string compileCommands;
-    std::string coreStats;
-    bool coreStatsSet = false;
-    std::string goldenStats;
-    bool goldenStatsSet = false;
     std::string layers;
     bool layersSet = false;
     bool json = false;
-    std::vector<std::string> accelSrcs;
     AnalyzeConfig config;
     std::vector<std::string> explicitFiles;
 
@@ -173,23 +154,6 @@ main(int argc, char **argv)
                 return 2;
             layers = v;
             layersSet = true;
-        } else if (arg == "--core-stats") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            coreStats = v;
-            coreStatsSet = true;
-        } else if (arg == "--golden-stats") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            goldenStats = v;
-            goldenStatsSet = true;
-        } else if (arg == "--accel-src") {
-            const char *v = value();
-            if (!v)
-                return 2;
-            accelSrcs.push_back(v);
         } else if (arg == "--rule") {
             const char *v = value();
             if (!v)
@@ -246,46 +210,6 @@ main(int argc, char **argv)
         std::error_code ec;
         if (fs::exists(def, ec))
             config.layersPath = def.string();
-    }
-
-    if (coreStatsSet) {
-        config.coreStatsPath = coreStats == "none" ? "" : coreStats;
-    } else {
-        const fs::path def =
-            fs::path(root) / "src" / "core" / "core_stats.hh";
-        std::error_code ec;
-        if (fs::exists(def, ec))
-            config.coreStatsPath = def.string();
-    }
-
-    if (goldenStatsSet) {
-        config.goldenStatsPath =
-            goldenStats == "none" ? "" : goldenStats;
-    } else {
-        const fs::path def =
-            fs::path(root) / "tests" / "golden_core_stats.inc";
-        std::error_code ec;
-        if (fs::exists(def, ec))
-            config.goldenStatsPath = def.string();
-    }
-    if (!accelSrcs.empty()) {
-        config.accelSourcePaths = accelSrcs;
-    } else if (!config.goldenStatsPath.empty()) {
-        const fs::path dir = fs::path(root) / "src" / "pred";
-        std::error_code ec;
-        for (auto it = fs::recursive_directory_iterator(dir, ec);
-             it != fs::recursive_directory_iterator();
-             it.increment(ec)) {
-            if (ec)
-                break;
-            if (!it->is_regular_file())
-                continue;
-            const std::string ext = it->path().extension().string();
-            if (ext == ".cc" || ext == ".hh")
-                config.accelSourcePaths.push_back(it->path().string());
-        }
-        std::sort(config.accelSourcePaths.begin(),
-                  config.accelSourcePaths.end());
     }
 
     const std::vector<Finding> findings =

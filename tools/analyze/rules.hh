@@ -20,10 +20,8 @@ namespace dlvp::analyze::detail
 {
 
 inline constexpr const char *kRuleDeterminism = "determinism";
-inline constexpr const char *kRuleStatsRegistry = "stats-registry";
 inline constexpr const char *kRuleSpecState = "spec-state";
 inline constexpr const char *kRuleErrorTaxonomy = "error-taxonomy";
-inline constexpr const char *kRuleAccelRegistry = "accel-registry";
 inline constexpr const char *kRuleLayering = "layering";
 inline constexpr const char *kRuleLockDiscipline = "lock-discipline";
 inline constexpr const char *kRuleHotPath = "hot-path";

@@ -82,7 +82,7 @@ usage()
         "                                    for one row (exit 0 ok,\n"
         "                                    3 rejected, 1 error)\n"
         "  serve-request <socket> --ping|--stats|--shutdown\n"
-        "options: --scheme <name> --insts <n> --warmup <n> --dump\n"
+        "options: --scheme <name> --insts <n> --dump\n"
         "         --jobs <n> (or DLVP_JOBS) --json <file>\n"
         "         --deadline-ms <n> (sweep/suite wall-clock budget)\n"
         "         --fault-plan <spec> (or DLVP_FAULT_INJECT; see\n"
@@ -115,7 +115,6 @@ struct Options
 {
     std::string scheme = "dlvp";
     std::size_t insts = sim::kDefaultInsts;
-    std::size_t warmup = 0;  ///< 0: default fraction
     unsigned jobs = 0;       ///< 0: DLVP_JOBS env / hardware threads
     std::string jsonPath;    ///< write dlvp-sweep-v1 report here
     double deadlineMs = 0.0; ///< sweep wall-clock budget; 0 = none
@@ -153,9 +152,6 @@ parseOptions(int argc, char **argv, int start, Options &opt)
             opt.scheme = argv[++i];
         } else if (a == "--insts" && i + 1 < argc) {
             if (!tools::parseCount(a.c_str(), argv[++i], opt.insts))
-                return false;
-        } else if (a == "--warmup" && i + 1 < argc) {
-            if (!tools::parseCount(a.c_str(), argv[++i], opt.warmup))
                 return false;
         } else if (a == "--jobs" && i + 1 < argc) {
             if (!tools::parseCount(a.c_str(), argv[++i], opt.jobs, 0,
@@ -294,7 +290,7 @@ cmdListConfigs()
     sim::Table t("named configurations");
     t.columns({"name", "accelerator", "description"});
     for (const auto &c : sim::configCatalog())
-        t.row({c.name, c.accel, c.description});
+        t.row({c.name, c.make().accel, c.description});
     t.print(std::cout);
     return 0;
 }
