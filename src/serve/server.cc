@@ -107,7 +107,7 @@ struct Server::Job
     bool degraded = false;
     double deadlineMs = 0.0; ///< 0 = unlimited
     Clock::time_point admitted;
-    Clock::time_point deadline; ///< valid when deadlineMs > 0
+    Clock::time_point deadline = Clock::time_point::max();
     std::shared_ptr<Connection> conn;
     /** Worker/watchdog claim: exactly one response per job. */
     std::atomic<bool> responded{false};
@@ -124,21 +124,19 @@ namespace
  * what makes caching the rendered string sound.
  */
 std::string
-renderRow(const std::string &workload, const std::string &config,
-          std::size_t insts, const sim::SweepResult &res)
+renderRow(const CacheKey &key, const core::CoreStats *baseline,
+          const sim::CellResult &cell)
 {
-    const sim::SweepRow &row = res.rows[0];
     std::ostringstream os;
     os << std::setprecision(12);
-    os << "{\"workload\": \"" << common::jsonEscape(workload)
-       << "\", \"config\": \"" << common::jsonEscape(config)
-       << "\", \"insts\": " << insts << ", ";
-    if (row.cellOk(0))
-        os << "\"speedup\": "
-           << sim::speedup(row.baseline, row.results[0]) << ", ";
-    sim::writeCellFieldsJson(os, row.outcomes[0], row.results[0],
-                             row.perf[0],
-                             res.sample.enabled ? &row.samples[0]
+    os << "{\"workload\": \"" << common::jsonEscape(key.workload)
+       << "\", \"config\": \"" << common::jsonEscape(key.config)
+       << "\", \"insts\": " << key.insts << ", ";
+    if (baseline != nullptr && cell.outcome.ok())
+        os << "\"speedup\": " << sim::speedup(*baseline, cell.stats)
+           << ", ";
+    sim::writeCellFieldsJson(os, cell.outcome, cell.stats, cell.perf,
+                             key.sample.enabled ? &cell.sample
                                                 : nullptr);
     os << "}";
     return os.str();
@@ -371,6 +369,7 @@ Server::handleRequest(const std::shared_ptr<Connection> &conn,
            << ", \"bad_requests\": " << s.badRequests
            << ", \"hits\": " << s.hits
            << ", \"misses\": " << s.misses
+           << ", \"baseline_reuses\": " << s.baselineReuses
            << ", \"quarantined\": " << s.quarantined
            << ", \"rejected\": " << s.rejected
            << ", \"degraded\": " << s.degraded
@@ -667,31 +666,60 @@ Server::execute(const std::shared_ptr<Job> &job)
         ++stats_.misses;
     }
 
-    sim::SweepSpec spec;
-    spec.configs.push_back({config, job->vp});
-    spec.workloads.push_back(workload);
-    spec.insts = job->key.insts;
-    spec.core = job->key.core;
-    spec.baseline = sim::baselineVp();
-    spec.jobs = 1;
-    spec.store = &store_;
-    spec.sample = job->key.sample;
-    if (job->deadlineMs > 0.0) {
-        // Propagate the remaining budget both into the sweep (which
-        // cancels queued cells) and the core wall watchdog (which
-        // aborts a runaway simulation from the inside).
-        spec.deadlineMs = remainingMs;
-        spec.core.maxWallMs = remainingMs;
-    }
+    sim::CellSpec cell;
+    cell.workload = workload;
+    cell.insts = job->key.insts;
+    cell.core = job->key.core;
+    cell.sample = job->key.sample;
+    cell.deadline = job->deadline;
+    if (job->deadlineMs > 0.0)
+        // The core's wall watchdog aborts a runaway simulation from
+        // the inside; the deadline cancels a cell not yet started.
+        cell.core.maxWallMs = remainingMs;
 
-    const sim::SweepResult res = sim::runSweep(spec);
+    // The baseline cell is the one a "baseline" request with seed 0
+    // would run; its stats depend on nothing else in the job.
+    CacheKey baselineKey = job->key;
+    baselineKey.config = "baseline";
+    baselineKey.seed = 0;
+    const std::string baselineHash = cacheKeyHash(baselineKey);
+    core::CoreStats baseline;
+    bool baselineOk = false;
+    {
+        std::lock_guard<std::mutex> lock(bm_);
+        const auto it = baselines_.find(baselineHash);
+        if (it != baselines_.end()) {
+            baseline = it->second;
+            baselineOk = true;
+        }
+    }
+    if (baselineOk) {
+        std::lock_guard<std::mutex> lock(sm_);
+        ++stats_.baselineReuses;
+    } else {
+        cell.config = "baseline";
+        cell.vp = sim::baselineVp();
+        const sim::CellResult base = sim::runCell(cell, store_);
+        // Only ok stats are kept: a timeout or failure belongs to this
+        // request's deadline or fault plan, not to the key.
+        if (base.outcome.ok()) {
+            baseline = base.stats;
+            baselineOk = true;
+            std::lock_guard<std::mutex> lock(bm_);
+            baselines_.emplace(baselineHash, baseline);
+        }
+    }
+    cell.config = config;
+    cell.vp = job->vp;
+    const sim::CellResult res = sim::runCell(cell, store_);
+    store_.evict(workload, job->key.insts);
+
     const std::string row =
-        renderRow(workload, config, job->key.insts, res);
+        renderRow(job->key, baselineOk ? &baseline : nullptr, res);
     // Only rows with valid stats are worth persisting: a timeout or
     // failure row depends on this request's deadline/fault plan, not
     // on the key, so caching it would poison future requests.
-    if (res.rows[0].outcomes[0].ok() &&
-        res.rows[0].baselineOutcome.ok())
+    if (res.outcome.ok() && baselineOk)
         cache_.put(job->keyHash, row);
     respondOnce(job, rowEnvelope(job->id, cacheStatus,
                                  job->degraded, job->keyHash, row));

@@ -4,10 +4,14 @@
  *
  * One process holds one warm refcounted TraceStore and one persistent
  * ResultCache (serve/cache.hh); every request is a single (workload,
- * config) grid cell, answered as a dlvp-sweep-v1 row — cached,
- * computed, degraded, and failed rows all share the CLI report's cell
- * schema via sim::writeCellFieldsJson, so a hit is byte-identical to
- * the row a cold CLI sweep would print.
+ * config) grid cell (sim::runCell), answered as a dlvp-sweep-v1 row
+ * with its speedup over the baseline cell of the same key. The
+ * baseline does not depend on the request's config or seed, so the
+ * daemon keeps each ok baseline's stats in memory and a later miss of
+ * the same (workload, insts, core, sample) simulates only its config
+ * cell. Cached, computed, degraded and failed rows all share the CLI
+ * report's cell schema via sim::writeCellFieldsJson, so a hit is
+ * byte-identical to the row a cold CLI sweep would print.
  *
  * Robustness layers (DESIGN.md §14):
  *
@@ -17,7 +21,7 @@
  *    enter a bounded prioritized queue with per-client round-robin
  *    fairness. Beyond maxQueue the server rejects with a structured
  *    retry_after_ms instead of queueing unboundedly; request
- *    deadlines propagate into SweepSpec::deadlineMs and the core
+ *    deadlines propagate into sim::CellSpec::deadline and the core
  *    wall-clock watchdog.
  *  - Graceful degradation: between degradeQueue and maxQueue,
  *    full-detail misses are shed to interval-sampled runs
@@ -58,6 +62,7 @@
 #include <vector>
 
 #include "common/annotations.hh"
+#include "core/core_stats.hh"
 #include "core/params.hh"
 #include "serve/cache.hh"
 #include "serve/json.hh"
@@ -113,6 +118,8 @@ struct ServerStats
     std::uint64_t badRequests = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    /** Misses that took their baseline from baselines_, not a run. */
+    std::uint64_t baselineReuses = 0;
     std::uint64_t quarantined = 0;
     std::uint64_t rejected = 0;
     std::uint64_t degraded = 0;
@@ -226,6 +233,15 @@ class Server
     mutable std::mutex cm_;
     std::vector<std::unique_ptr<ConnSlot>> conns_;
     DLVP_GUARDED_BY(cm_);
+
+    /**
+     * Stats of every baseline cell that ran ok, keyed by the
+     * cacheKeyHash of its own key (config "baseline", seed 0). Stats
+     * only, never a trace; not persisted.
+     */
+    std::mutex bm_;
+    std::map<std::string, core::CoreStats> baselines_;
+    DLVP_GUARDED_BY(bm_);
 };
 
 } // namespace dlvp::serve

@@ -142,15 +142,15 @@ jobSeed(const std::string &workload, const std::string &config)
 }
 
 unsigned
-retryDelayMs(unsigned baseMs, unsigned attempt, std::uint64_t seed)
+retryDelayMs(unsigned attempt, std::uint64_t seed)
 {
-    if (baseMs == 0 || attempt < 2)
+    if (attempt < 2)
         return 0;
     // Saturating exponential: clamp the shift so a large attempt
     // count cannot overflow, then cap the doubling at the ceiling.
     const unsigned shift = std::min(attempt - 2, 20u);
     const std::uint64_t capped = std::min(
-        std::uint64_t{baseMs} << shift, kMaxRetryBackoffMs);
+        std::uint64_t{kRetryBackoffMs} << shift, kMaxRetryBackoffMs);
     // splitmix64 over (seed, attempt): deterministic per (workload,
     // config, attempt), independent of thread identity or schedule.
     std::uint64_t x =
@@ -250,6 +250,86 @@ SweepResult::failedJobs() const
     return n;
 }
 
+CellResult
+runCell(const CellSpec &cell, TraceStore &store)
+{
+    using WallClock = std::chrono::steady_clock;
+    const common::FaultPlan &faults = common::FaultPlan::global();
+    const std::string context =
+        "workload=" + cell.workload + " config=" + cell.config;
+    // The per-job seed depends only on (workload, config), so a
+    // retried attempt reproduces the first bit-for-bit.
+    for (unsigned attempt = 1;; ++attempt) {
+        try {
+            if (WallClock::now() >= cell.deadline)
+                throw common::RunError(
+                    common::ErrorKind::SimTimeout,
+                    "sweep deadline expired before job start");
+            auto tr = store.acquire(cell.workload, cell.insts);
+            if (const unsigned ms =
+                    faults.stallMs(cell.workload, cell.config))
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(ms));
+            const Simulator sim(cell.core, cell.insts);
+            CellResult r;
+            if (cell.sample.enabled) {
+                // Sampled cell: detailed intervals + functional
+                // fast-forward; telemetry covers the sampled work
+                // only (the optional check run is validation cost,
+                // not throughput). One thread per cell: the caller
+                // runs cells in parallel.
+                const auto s0 = WallClock::now();
+                const SampledRun sr =
+                    runSampled(cell.core, cell.vp, *tr, cell.sample, 1);
+                const std::chrono::duration<double, std::milli> wall =
+                    WallClock::now() - s0;
+                r.stats = sr.stats;
+                r.perf.wallMs = wall.count();
+                r.perf.mips =
+                    wall.count() > 0.0
+                        ? static_cast<double>(sr.sampledInsts()) /
+                              (wall.count() * 1e3)
+                        : 0.0;
+                r.sample.intervals = sr.intervals;
+                r.sample.sampledInsts = sr.sampledInsts();
+                if (cell.sample.check)
+                    r.sample.cpiError =
+                        cpiError(sr, sim.run(*tr, cell.vp));
+            } else {
+                r.stats = sim.run(*tr, cell.vp, &r.perf);
+            }
+            r.outcome.status =
+                attempt == 1 ? JobStatus::Ok : JobStatus::Retried;
+            r.outcome.attempts = attempt;
+            return r;
+        } catch (...) {
+            const common::RunError err =
+                common::normalizeCurrentException(
+                    context + " attempt=" + std::to_string(attempt));
+            if (err.transient() && attempt < kMaxAttempts &&
+                WallClock::now() < cell.deadline) {
+                // Capped exponential with per-job-seed jitter (see
+                // retryDelayMs): bounded, deterministic under any job
+                // count.
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(retryDelayMs(
+                        attempt + 1,
+                        jobSeed(cell.workload, cell.config))));
+                continue;
+            }
+            CellResult failed;
+            failed.outcome.status =
+                err.kind() == common::ErrorKind::SimTimeout
+                    ? JobStatus::Timeout
+                    : JobStatus::Failed;
+            failed.outcome.errorKind = err.kind();
+            failed.outcome.error = err.describe();
+            failed.outcome.attempts = attempt;
+            return failed;
+        }
+    }
+}
+
 SweepResult
 runSweep(const SweepSpec &spec)
 {
@@ -279,7 +359,6 @@ runSweep(const SweepSpec &spec)
 
     TraceStore &store =
         spec.store ? *spec.store : TraceStore::global();
-    const Simulator sim(spec.core, spec.insts);
 
     // Evict a workload's trace as soon as its last job finishes so a
     // wide sweep holds at most ~jobs traces, not the whole suite.
@@ -298,11 +377,6 @@ runSweep(const SweepSpec &spec)
         has_deadline
             ? common::deadlineAfterMs(WallClock::now(), spec.deadlineMs)
             : WallClock::time_point::max();
-    const auto deadline_expired = [&] {
-        return has_deadline && WallClock::now() >= deadline;
-    };
-
-    const common::FaultPlan &faults = common::FaultPlan::global();
 
     // Bookkeeping every cell must run exactly once, completed or
     // cancelled: trace eviction refcount and the progress hook.
@@ -316,100 +390,28 @@ runSweep(const SweepSpec &spec)
             spec.progress(k, total);
     };
 
-    // One grid cell, fully isolated: every failure becomes a
-    // structured JobOutcome in the cell's own slot. The per-job seed
-    // depends only on (workload, config), so a retried attempt
-    // reproduces the first bit-for-bit.
+    // Each cell writes only its own slots of its row.
     const auto run_cell = [&](std::size_t wi, std::size_t ci) {
-        const std::string &w = workloads[wi];
-        const std::string cfg_name =
-            ci == 0 ? "baseline" : spec.configs[ci - 1].name;
-        JobOutcome &outcome =
-            ci == 0 ? result.rows[wi].baselineOutcome
-                    : result.rows[wi].outcomes[ci - 1];
-        const std::string context =
-            "workload=" + w + " config=" + cfg_name;
-        for (unsigned attempt = 1;; ++attempt) {
-            try {
-                if (deadline_expired())
-                    throw common::RunError(
-                        common::ErrorKind::SimTimeout,
-                        "sweep deadline expired before job start");
-                auto tr = store.acquire(w, spec.insts);
-                if (const unsigned ms = faults.stallMs(w, cfg_name))
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(ms));
-                const core::VpConfig &vp = ci == 0
-                                               ? spec.baseline
-                                               : spec.configs[ci - 1].vp;
-                RunPerf perf;
-                core::CoreStats stats;
-                SampleCell scell;
-                if (spec.sample.enabled) {
-                    // Sampled cell: detailed intervals + functional
-                    // fast-forward; telemetry covers the sampled work
-                    // only (the optional check run is validation
-                    // cost, not throughput). One thread per cell: the
-                    // sweep's pool is the unit of parallelism.
-                    const auto s0 = std::chrono::steady_clock::now();
-                    const SampledRun sr = runSampled(
-                        spec.core, vp, *tr, spec.sample, 1);
-                    const std::chrono::duration<double, std::milli>
-                        wall =
-                            std::chrono::steady_clock::now() - s0;
-                    stats = sr.stats;
-                    perf.wallMs = wall.count();
-                    perf.mips =
-                        wall.count() > 0.0
-                            ? static_cast<double>(sr.sampledInsts()) /
-                                  (wall.count() * 1e3)
-                            : 0.0;
-                    scell.intervals = sr.intervals;
-                    scell.sampledInsts = sr.sampledInsts();
-                    if (spec.sample.check)
-                        scell.cpiError =
-                            cpiError(sr, sim.run(*tr, vp));
-                } else {
-                    stats = sim.run(*tr, vp, &perf);
-                }
-                if (ci == 0) {
-                    result.rows[wi].baseline = stats;
-                    result.rows[wi].baselinePerf = perf;
-                    result.rows[wi].baselineSample = scell;
-                } else {
-                    result.rows[wi].results[ci - 1] = stats;
-                    result.rows[wi].perf[ci - 1] = perf;
-                    result.rows[wi].samples[ci - 1] = scell;
-                }
-                outcome.status = attempt == 1 ? JobStatus::Ok
-                                              : JobStatus::Retried;
-                outcome.attempts = attempt;
-                return;
-            } catch (...) {
-                const common::RunError err =
-                    common::normalizeCurrentException(
-                        context +
-                        " attempt=" + std::to_string(attempt));
-                if (err.transient() && attempt < kMaxAttempts &&
-                    !deadline_expired()) {
-                    // Capped exponential with per-job-seed jitter
-                    // (see retryDelayMs): bounded, deterministic
-                    // under any job count.
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(retryDelayMs(
-                            kRetryBackoffMs, attempt + 1,
-                            jobSeed(w, cfg_name))));
-                    continue;
-                }
-                outcome.status =
-                    err.kind() == common::ErrorKind::SimTimeout
-                        ? JobStatus::Timeout
-                        : JobStatus::Failed;
-                outcome.errorKind = err.kind();
-                outcome.error = err.describe();
-                outcome.attempts = attempt;
-                return;
-            }
+        SweepRow &row = result.rows[wi];
+        const CellSpec cell{
+            .workload = workloads[wi],
+            .config = ci == 0 ? "baseline" : spec.configs[ci - 1].name,
+            .vp = ci == 0 ? spec.baseline : spec.configs[ci - 1].vp,
+            .insts = spec.insts,
+            .core = spec.core,
+            .sample = spec.sample,
+            .deadline = deadline};
+        CellResult r = runCell(cell, store);
+        if (ci == 0) {
+            row.baseline = r.stats;
+            row.baselinePerf = r.perf;
+            row.baselineSample = r.sample;
+            row.baselineOutcome = std::move(r.outcome);
+        } else {
+            row.results[ci - 1] = r.stats;
+            row.perf[ci - 1] = r.perf;
+            row.samples[ci - 1] = r.sample;
+            row.outcomes[ci - 1] = std::move(r.outcome);
         }
     };
 

@@ -13,12 +13,17 @@
  *    contents depend only on (workload name, instruction count).
  * Under this contract `runSweep(spec)` returns the same SweepResult
  * for any job count, which tests/test_sweep.cc asserts.
+ *
+ * Every cell, in a sweep or alone (dlvp-serve runs one cell per
+ * request), goes through runCell(), so a cell's stats and failure
+ * handling do not depend on which caller ran it.
  */
 
 #ifndef DLVP_SIM_SWEEP_HH
 #define DLVP_SIM_SWEEP_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -262,6 +267,50 @@ struct SweepResult
     std::size_t failedJobs() const;
 };
 
+/** One grid cell: everything runCell() needs to simulate it. */
+struct CellSpec
+{
+    std::string workload;
+    /**
+     * The config's name: the target of `stall:` fault rules, the seed
+     * of the retry jitter (jobSeed) and part of every error message.
+     */
+    std::string config;
+    core::VpConfig vp{};
+    /** Micro-ops of the workload trace. */
+    std::size_t insts = kDefaultInsts;
+    core::CoreParams core{};
+    /** Interval sampling, as SweepSpec::sample. */
+    SampleSpec sample{};
+    /**
+     * An attempt that would start at or after this instant is a
+     * timeout without simulating; an attempt already running
+     * finishes. max() = no deadline.
+     */
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
+};
+
+/** What one cell produced. */
+struct CellResult
+{
+    /** stats, perf and sample are valid when outcome.ok(). */
+    JobOutcome outcome;
+    core::CoreStats stats;
+    RunPerf perf;
+    /** Sampling telemetry; meaningful when the cell sampled. */
+    SampleCell sample;
+};
+
+/**
+ * Run one cell, fully isolated: acquire its trace from @p store,
+ * apply any `stall:` fault, simulate (full or sampled), and retry
+ * transient failures with backoff (see kMaxAttempts). Every failure
+ * becomes the result's structured JobOutcome; runCell never throws.
+ * The trace stays in @p store: evicting it is the caller's choice.
+ */
+CellResult runCell(const CellSpec &cell, TraceStore &store);
+
 /**
  * Run the grid. Jobs are enqueued in deterministic (workload-major)
  * order and each writes only its own slot, so the result is identical
@@ -303,7 +352,7 @@ inline constexpr std::uint64_t kMaxRetryBackoffMs = 1000;
  * attempt about to run, so the first retry is attempt 2): a capped
  * exponential with deterministic jitter.
  *
- * The exponential doubles from @p baseMs but saturates at
+ * The exponential doubles from kRetryBackoffMs but saturates at
  * kMaxRetryBackoffMs — an uncapped doubling turns a handful of
  * transient failures into minutes of sleeping, which under a sweep
  * deadline silently converts retryable cells into timeout rows. The
@@ -312,10 +361,9 @@ inline constexpr std::uint64_t kMaxRetryBackoffMs = 1000;
  * per-job seed, a pure function of (workload, config) — so the exact
  * delay sequence is reproducible under any job count or schedule.
  * The result is always within [cap/2, cap] of the capped value:
- * never 0 for baseMs > 0, never above kMaxRetryBackoffMs.
+ * never 0 for a retry, never above kMaxRetryBackoffMs.
  */
-unsigned retryDelayMs(unsigned baseMs, unsigned attempt,
-                      std::uint64_t seed);
+unsigned retryDelayMs(unsigned attempt, std::uint64_t seed);
 
 } // namespace dlvp::sim
 

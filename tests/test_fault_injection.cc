@@ -558,18 +558,17 @@ TEST(FaultPlan, RejectsMalformedCacheAndConnRules)
 
 TEST(RetryBackoff, ZeroBaseAndFirstAttemptSleepNothing)
 {
-    EXPECT_EQ(retryDelayMs(0, 5, 123), 0u);
-    EXPECT_EQ(retryDelayMs(10, 0, 123), 0u);
-    EXPECT_EQ(retryDelayMs(10, 1, 123), 0u);
+    EXPECT_EQ(retryDelayMs(0, 123), 0u);
+    EXPECT_EQ(retryDelayMs(1, 123), 0u);
 }
 
 TEST(RetryBackoff, ExponentialIsCappedWithJitterInRange)
 {
     const std::uint64_t seed = jobSeed("mcf", "dlvp");
     for (unsigned attempt = 2; attempt < 40; ++attempt) {
-        const unsigned d = retryDelayMs(5, attempt, seed);
+        const unsigned d = retryDelayMs(attempt, seed);
         const std::uint64_t uncapped =
-            std::uint64_t{5}
+            std::uint64_t{kRetryBackoffMs}
             << std::min(attempt - 2, 20u); // pre-cap exponential
         const std::uint64_t cap =
             std::min(uncapped, kMaxRetryBackoffMs);
@@ -579,21 +578,21 @@ TEST(RetryBackoff, ExponentialIsCappedWithJitterInRange)
     }
     // An uncapped doubling would be 5 << 30 ms ≈ 62 days by attempt
     // 32; the cap keeps every delay within the bounded ceiling.
-    EXPECT_LE(retryDelayMs(5, 32, seed), kMaxRetryBackoffMs);
+    EXPECT_LE(retryDelayMs(32, seed), kMaxRetryBackoffMs);
 }
 
 TEST(RetryBackoff, JitterIsDeterministicPerSeedAndSpreadsAcrossSeeds)
 {
     // Same (seed, attempt) → same delay, under any schedule.
     for (unsigned attempt = 2; attempt < 12; ++attempt)
-        EXPECT_EQ(retryDelayMs(5, attempt, jobSeed("mcf", "dlvp")),
-                  retryDelayMs(5, attempt, jobSeed("mcf", "dlvp")));
+        EXPECT_EQ(retryDelayMs(attempt, jobSeed("mcf", "dlvp")),
+                  retryDelayMs(attempt, jobSeed("mcf", "dlvp")));
     // Different jobs should not all sleep the same amount (that
     // thundering herd is what the jitter exists to break up).
     std::vector<unsigned> delays;
     for (const char *w : {"mcf", "vpr", "gzip", "crafty", "parser",
                           "twolf", "gap", "eon"})
-        delays.push_back(retryDelayMs(40, 6, jobSeed(w, "dlvp")));
+        delays.push_back(retryDelayMs(9, jobSeed(w, "dlvp")));
     std::sort(delays.begin(), delays.end());
     const auto uniques = static_cast<std::size_t>(
         std::unique(delays.begin(), delays.end()) - delays.begin());

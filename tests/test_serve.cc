@@ -1198,6 +1198,132 @@ TEST(ServeDaemon, WatchdogTurnsHungJobsIntoTimeoutRows)
     EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
 }
 
+/** Wait until the daemon's worker has finished every job. */
+void
+waitIdle(ServeClient &client)
+{
+    for (int i = 0; i < 200 && (statCounter(client, "in_flight") != 0.0 ||
+                                statCounter(client, "queue_depth") != 0.0);
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(25));
+}
+
+TEST(ServeDaemon, MissReusesTheBaselineOfItsKey)
+{
+    TempDir td;
+    Daemon d;
+    // Only the baseline cell of mcf stalls: a miss that simulates it
+    // pays 3 s, one that reuses it does not.
+    ASSERT_TRUE(d.start(td.path, {"--workers", "1", "--fault-plan",
+                                  "stall:mcf/baseline=3000"}));
+    ServeClient client(d.sock, 120000);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string cold = client.requestRaw(runReq("mcf", "dlvp"));
+    EXPECT_GE(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(3000));
+    EXPECT_EQ(strField(cold, "cache"), "miss");
+    EXPECT_NE(cold.find("\"speedup\": "), std::string::npos) << cold;
+    EXPECT_EQ(statCounter(client, "baseline_reuses"), 0.0);
+
+    // Another config and seed share the baseline: inside a deadline
+    // the stall would miss.
+    const std::string reused = client.requestRaw(runReq(
+        "mcf", "vtage", ", \"seed\": 7, \"deadline_ms\": 1500"));
+    EXPECT_EQ(strField(reused, "cache"), "miss");
+    EXPECT_NE(reused.find("\"status\": \"ok\", \"attempts\""),
+              std::string::npos)
+        << reused;
+    EXPECT_NE(reused.find("\"speedup\": "), std::string::npos)
+        << reused;
+    EXPECT_EQ(statCounter(client, "baseline_reuses"), 1.0);
+
+    // A sampled key and a key of another length have baselines of
+    // their own: each simulates it, stalls, and times out.
+    for (const std::string &extra :
+         {std::string(", \"sample\": {\"warmup_insts\": 1000, "
+                      "\"measure_insts\": 1000, "
+                      "\"period_insts\": 4000}"),
+          std::string(", \"insts\": 9000")}) {
+        waitIdle(client);
+        const std::string resp = client.requestRaw(runReq(
+            "mcf", "dlvp", extra + ", \"deadline_ms\": 1500"));
+        EXPECT_EQ(strField(resp, "error_kind"), "sim_timeout")
+            << extra << ": " << resp;
+        EXPECT_EQ(statCounter(client, "baseline_reuses"), 1.0) << extra;
+    }
+    EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+}
+
+TEST(ServeDaemon, TimedOutBaselineIsNotReused)
+{
+    TempDir td;
+    Daemon d;
+    ASSERT_TRUE(d.start(td.path, {"--workers", "1"}));
+    ServeClient client(d.sock, 120000);
+    // A 400k-uop baseline runs for about 100 ms, so the core's wall
+    // watchdog stops it at the 30 ms deadline and the cell times out.
+    const std::string longKey = ", \"insts\": 400000";
+    const std::string late = client.requestRaw(
+        runReq("mcf", "dlvp", longKey + ", \"deadline_ms\": 30"));
+    EXPECT_EQ(strField(late, "error_kind"), "sim_timeout") << late;
+    waitIdle(client);
+
+    const std::string resp =
+        client.requestRaw(runReq("mcf", "vtage", longKey));
+    EXPECT_EQ(strField(resp, "cache"), "miss");
+    EXPECT_EQ(resp.find("\"error_kind\""), std::string::npos) << resp;
+    EXPECT_NE(resp.find("\"speedup\": "), std::string::npos) << resp;
+    EXPECT_EQ(statCounter(client, "baseline_reuses"), 0.0)
+        << "a baseline that timed out must be simulated again";
+    EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+}
+
+TEST(ServeDaemon, ReusedBaselineRowsEqualColdRows)
+{
+    const std::string sampled =
+        ", \"sample\": {\"warmup_insts\": 1000, "
+        "\"measure_insts\": 1000, \"period_insts\": 4000}";
+    std::vector<std::pair<std::string, std::string>> cells;
+    for (const char *config : {"dlvp", "vtage", "tournament", "baseline"})
+        for (const std::string &extra : {std::string(), sampled})
+            cells.emplace_back(config, extra);
+
+    TempDir td;
+    std::vector<std::string> reused;
+    {
+        Daemon d;
+        ASSERT_TRUE(d.start(td.path, {"--workers", "1"}));
+        ServeClient client(d.sock, 120000);
+        // One miss per sampling mode leaves its baseline behind.
+        for (const std::string &extra : {std::string(), sampled})
+            EXPECT_EQ(strField(client.requestRaw(
+                                   runReq("mcf", "balcvp", extra)),
+                               "cache"),
+                      "miss");
+        for (const auto &[config, extra] : cells)
+            reused.push_back(
+                rowPart(client.requestRaw(runReq("mcf", config, extra))));
+        EXPECT_EQ(statCounter(client, "baseline_reuses"),
+                  static_cast<double>(cells.size()));
+        EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+    }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        Daemon d;
+        ASSERT_TRUE(
+            d.start(td.path, {"--workers", "1"}, "cold" + std::to_string(i)));
+        ServeClient client(d.sock, 120000);
+        const std::string cold = client.requestRaw(
+            runReq("mcf", cells[i].first, cells[i].second));
+        EXPECT_EQ(strField(cold, "cache"), "miss");
+        EXPECT_EQ(statCounter(client, "baseline_reuses"), 0.0);
+        ASSERT_NE(rowPart(cold).find("\"speedup\": "), std::string::npos)
+            << cold;
+        EXPECT_EQ(maskWallClock(reused[i]), maskWallClock(rowPart(cold)))
+            << cells[i].first << cells[i].second;
+        EXPECT_TRUE(WIFEXITED(d.shutdownAndWait()));
+    }
+}
+
 TEST(ServeDaemon, ConnDropFaultIsAClientSideHangupOnly)
 {
     TempDir td;
