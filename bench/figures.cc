@@ -44,7 +44,8 @@ indexOf(const std::vector<sim::SweepConfig> &configs,
         configs.begin());
 }
 
-/** A figure's rows, gathered from the grids that simulated them. */
+/** A figure's rows, core-major, gathered from the grids that simulated
+ *  them. */
 sim::SweepResult
 gather(const Cells &cells, const std::vector<sim::SweepSpec> &grids,
        const std::vector<sim::SweepResult> &results)
@@ -53,29 +54,32 @@ gather(const Cells &cells, const std::vector<sim::SweepSpec> &grids,
     out.insts = cells.insts;
     for (const auto &c : cells.configs)
         out.configNames.push_back(c.name);
-    for (const std::string &w : workloadsOf(cells)) {
-        // Exactly one grid holds w at these insts.
-        std::size_t g = 0, wi = 0;
-        for (;; ++g) {
-            const auto &ws = grids[g].workloads;
-            wi = static_cast<std::size_t>(
-                std::find(ws.begin(), ws.end(), w) - ws.begin());
-            if (grids[g].insts == cells.insts && wi < ws.size())
-                break;
-        }
-        const sim::SweepRow &src = results[g].rows[wi];
-        sim::SweepRow &row = out.rows.emplace_back();
-        row.workload = w;
-        row.baseline = src.baseline;
-        row.baselinePerf = src.baselinePerf;
-        row.baselineOutcome = src.baselineOutcome;
-        row.baselineSample = src.baselineSample;
-        for (const auto &c : cells.configs) {
-            const std::size_t i = indexOf(grids[g].configs, c.vp);
-            row.results.push_back(src.results[i]);
-            row.perf.push_back(src.perf[i]);
-            row.outcomes.push_back(src.outcomes[i]);
-            row.samples.push_back(src.samples[i]);
+    for (const core::CoreParams &core : cells.cores) {
+        for (const std::string &w : workloadsOf(cells)) {
+            // Exactly one grid holds w at these insts on this core.
+            std::size_t g = 0, wi = 0;
+            for (;; ++g) {
+                const auto &ws = grids[g].workloads;
+                wi = static_cast<std::size_t>(
+                    std::find(ws.begin(), ws.end(), w) - ws.begin());
+                if (grids[g].insts == cells.insts && grids[g].core == core &&
+                    wi < ws.size())
+                    break;
+            }
+            const sim::SweepRow &src = results[g].rows[wi];
+            sim::SweepRow &row = out.rows.emplace_back();
+            row.workload = w;
+            row.baseline = src.baseline;
+            row.baselinePerf = src.baselinePerf;
+            row.baselineOutcome = src.baselineOutcome;
+            row.baselineSample = src.baselineSample;
+            for (const auto &c : cells.configs) {
+                const std::size_t i = indexOf(grids[g].configs, c.vp);
+                row.results.push_back(src.results[i]);
+                row.perf.push_back(src.perf[i]);
+                row.outcomes.push_back(src.outcomes[i]);
+                row.samples.push_back(src.samples[i]);
+            }
         }
     }
     return out;
@@ -86,11 +90,12 @@ gather(const Cells &cells, const std::vector<sim::SweepSpec> &grids,
 std::vector<sim::SweepSpec>
 planGrids(const std::vector<const Figure *> &figures)
 {
-    // The distinct configs at one insts, in first-request order, and
-    // which of them each workload needs.
+    // The distinct configs at one (insts, core), in first-request
+    // order, and which of them each workload needs.
     struct Group
     {
         std::size_t insts;
+        core::CoreParams core;
         std::vector<sim::SweepConfig> configs = {};
         std::map<std::string, std::set<std::size_t>> needs = {};
     };
@@ -99,18 +104,22 @@ planGrids(const std::vector<const Figure *> &figures)
         const Cells &cells = f->cells;
         if (cells.configs.empty())
             continue;
-        auto g = std::find_if(groups.begin(), groups.end(), [&](auto &x) {
-            return x.insts == cells.insts;
-        });
-        if (g == groups.end())
-            g = groups.insert(groups.end(), {cells.insts});
-        for (const std::string &w : workloadsOf(cells)) {
-            auto &need = g->needs[w];
-            for (const auto &c : cells.configs) {
-                const std::size_t i = indexOf(g->configs, c.vp);
-                if (i == g->configs.size())
-                    g->configs.push_back(c);
-                need.insert(i);
+        for (const core::CoreParams &core : cells.cores) {
+            auto g = std::find_if(groups.begin(), groups.end(),
+                                  [&](auto &x) {
+                                      return x.insts == cells.insts &&
+                                             x.core == core;
+                                  });
+            if (g == groups.end())
+                g = groups.insert(groups.end(), {cells.insts, core});
+            for (const std::string &w : workloadsOf(cells)) {
+                auto &need = g->needs[w];
+                for (const auto &c : cells.configs) {
+                    const std::size_t i = indexOf(g->configs, c.vp);
+                    if (i == g->configs.size())
+                        g->configs.push_back(c);
+                    need.insert(i);
+                }
             }
         }
     }
@@ -123,7 +132,7 @@ planGrids(const std::vector<const Figure *> &figures)
             if (fresh) {
                 sim::SweepSpec &spec = grids.emplace_back();
                 spec.insts = g.insts;
-                spec.core = sim::baselineCore();
+                spec.core = g.core;
                 spec.baseline = sim::baselineVp();
                 for (const std::size_t i : need)
                     spec.configs.push_back(g.configs[i]);

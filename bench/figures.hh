@@ -4,11 +4,12 @@
  * is a Figure that declares the sweep cells it needs, renders its
  * tables from the finished rows and states its paper-shape claims.
  *
- * runFigures() simulates each distinct (workload, insts, VpConfig) cell
- * of a selection once, on sim::baselineCore(), compared by value and
- * never by name, as rectangular grids through sim::runSweep. Each figure then
- * gets its own rows, in its own config order and names, so it prints
- * the same bytes whatever runs beside it.
+ * runFigures() simulates each distinct (workload, insts, CoreParams,
+ * VpConfig) cell of a selection once, compared by value and never by
+ * name, as rectangular grids through sim::runSweep. A figure's cells
+ * run on sim::baselineCore() unless it lists other cores. Each figure
+ * then gets its own rows, in its own core, workload and config order
+ * and names, so it prints the same bytes whatever runs beside it.
  */
 
 #ifndef DLVP_BENCH_FIGURES_HH
@@ -47,12 +48,13 @@ using Rows = sim::SweepResult;
 using Verdicts = std::vector<bool>;
 
 /** The baseline (sim::baselineVp()) and every config on every workload
- *  (empty = the registered suite). No configs = no sweep. */
+ *  (empty = the registered suite), on every core. No configs = no sweep. */
 struct Cells
 {
     std::vector<std::string> workloads = {};
     std::size_t insts = kBenchInsts;
     std::vector<sim::SweepConfig> configs = {};
+    std::vector<core::CoreParams> cores = {sim::baselineCore()};
 };
 
 struct Figure
@@ -70,8 +72,8 @@ struct Figure
 std::vector<Figure> registry(std::size_t insts = kBenchInsts);
 
 /** The distinct cells of @p figures: one grid per set of workloads that
- *  need the same configs at the same insts. A config takes the name of
- *  the first figure that asks for its value. */
+ *  need the same configs at the same insts on the same core. A config
+ *  takes the name of the first figure that asks for its value. */
 std::vector<sim::SweepSpec>
 planGrids(const std::vector<const Figure *> &figures);
 
@@ -79,7 +81,7 @@ struct FigureRun
 {
     const Figure *figure = nullptr;
     std::string text; ///< what it prints, claims included
-    Rows rows;        ///< its cells, in its order and names
+    Rows rows;        ///< its cells, core-major, in its order and names
     Verdicts holds;
 };
 

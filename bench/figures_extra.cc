@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "bench/figures.hh"
-#include "sim/simulator.hh"
 
 namespace dlvp::bench
 {
@@ -284,40 +283,44 @@ extPredictorZoo(std::size_t insts)
 Figure
 extWidthSensitivity(std::size_t insts)
 {
+    // name, fetch/dispatch, issue, load-store lanes and commit width;
+    // the paper's point is sim::baselineCore() itself.
+    const std::tuple<const char *, unsigned, unsigned, unsigned, unsigned>
+        points[] = {
+            {"2-wide", 2, 4, 1, 4},
+            {"4-wide (paper)", 4, 8, 2, 8},
+            {"6-wide", 6, 10, 3, 10},
+        };
+    Cells cells{.workloads = {"mcf", "astar", "perlbmk", "aifirf", "pdfjs",
+                              "dromaeo"},
+                .insts = insts / 2,
+                .configs = {{"DLVP", sim::dlvpConfig()}},
+                .cores = {}};
+    std::vector<std::string> names;
+    for (const auto &[name, width, issue, ls, commit] : points) {
+        core::CoreParams &c = cells.cores.emplace_back(sim::baselineCore());
+        c.fetchWidth = c.dispatchWidth = width;
+        c.issueWidth = issue;
+        c.lsLanes = ls;
+        c.commitWidth = commit;
+        names.push_back(name);
+    }
     return {.name = "ext_width_sensitivity",
-            .render = [run_insts = insts / 2](const Rows &, std::ostream &os,
-                                              Verdicts &) {
-        const std::tuple<const char *, unsigned, unsigned, unsigned,
-                         unsigned, unsigned>
-            points[] = {
-                {"2-wide", 2, 2, 4, 1, 4},
-                {"4-wide (paper)", 4, 4, 8, 2, 8},
-                {"6-wide", 6, 6, 10, 3, 10},
-            };
-        const std::vector<std::string> sample = {
-            "mcf", "astar", "perlbmk", "aifirf", "pdfjs", "dromaeo"};
-
+            .cells = cells,
+            .render = [names, n = cells.workloads.size()](
+                          const Rows &rows, std::ostream &os, Verdicts &) {
         sim::Table t("extension: DLVP benefit vs machine width "
                      "(sample averages)");
         t.columns({"width", "baseline_ipc", "dlvp_speedup"});
-        for (const auto &[name, fetch, dispatch, issue, ls, commit] :
-             points) {
-            core::CoreParams params = sim::baselineCore();
-            params.fetchWidth = fetch;
-            params.dispatchWidth = dispatch;
-            params.issueWidth = issue;
-            params.lsLanes = ls;
-            params.commitWidth = commit;
-            sim::Simulator simulator(params, run_insts);
+        // Rows are core-major: one run of n workloads per width.
+        for (std::size_t p = 0; p < names.size(); ++p) {
             std::vector<double> ipcs, spds;
-            for (const auto &w : sample) {
-                const auto base = simulator.run(w, sim::baselineVp());
-                const auto dlvp = simulator.run(w, sim::dlvpConfig());
-                ipcs.push_back(base.ipc());
-                spds.push_back(sim::speedup(base, dlvp));
-                simulator.evict(w);
+            for (std::size_t w = p * n; w < (p + 1) * n; ++w) {
+                const sim::SweepRow &r = rows.rows[w];
+                ipcs.push_back(r.baseline.ipc());
+                spds.push_back(sim::speedup(r.baseline, r.results[0]));
             }
-            t.row({name, sim::amean(ipcs), sim::amean(spds)});
+            t.row({names[p], sim::amean(ipcs), sim::amean(spds)});
         }
         t.print(os);
         os << "\nexpected: the absolute benefit holds or grows with width "

@@ -11,6 +11,7 @@
 #include <algorithm>
 
 #include "bench/figures.hh"
+#include "common/fields.hh"
 
 namespace
 {
@@ -77,46 +78,65 @@ TEST(Figures, SharedCellsRunOnceAndPrintAsAlone)
     }
 }
 
+TEST(Figures, WidthSensitivitySharesItsPaperCoreCells)
+{
+    // ext_width_sensitivity runs baseline and DLVP on six workloads on
+    // three cores. Its 4-wide core is sim::baselineCore(), where the
+    // ablations already run those 12 cells at the same insts.
+    const std::vector<Figure> figs = registry(20000);
+    std::vector<const Figure *> three;
+    for (const char *name :
+         {"abl_pap_design", "abl_replay_tradeoff", "ext_predictor_zoo"})
+        three.push_back(&*std::find_if(figs.begin(), figs.end(),
+                                       [&](auto &f) { return f.name == name; }));
+    ASSERT_EQ(figs.back().name, "ext_width_sensitivity");
+    std::vector<const Figure *> four = three;
+    four.push_back(&figs.back());
+
+    const FiguresRun alone = runFigures({&figs.back()});
+    const FiguresRun together = runFigures(four);
+    EXPECT_EQ(alone.cells, 36u);
+    EXPECT_EQ(together.cells, runFigures(three).cells + 24);
+    EXPECT_EQ(together.figures.back().text, alone.figures[0].text);
+    EXPECT_EQ(alone.figures[0].rows.failedJobs(), 0u);
+}
+
+/** @p base once per field of its field list, with that field perturbed. */
+template <class T>
+std::vector<T>
+oneFieldOff(T base)
+{
+    std::vector<T> out;
+    common::forEachField(base, [&](const std::string &, auto &leaf) {
+        const auto saved = leaf;
+        common::perturb(leaf);
+        out.push_back(base);
+        leaf = saved;
+    });
+    return out;
+}
+
 TEST(Figures, ConfigsDifferingInOneFieldNeverShareACell)
 {
-    using Vp = core::VpConfig;
-    const std::vector<void (*)(Vp &)> mutations = {
-        [](Vp &v) { v.pap.tableBits = 11; },
-        [](Vp &v) { v.pap.confProbs.back() = 0.125; },
-        [](Vp &v) { v.pap.allocPolicy = pred::PapAllocPolicy::Policy1; },
-        [](Vp &v) { v.cap.confThreshold = 9; },
-        [](Vp &v) { v.strideAp.confThreshold = 5; },
-        [](Vp &v) { v.vtage.histLengths.push_back(21); },
-        [](Vp &v) { v.vtage.dynFilterThreshold = 0.9; },
-        [](Vp &v) { v.dvtage.lvtBits = 9; },
-        [](Vp &v) { v.balcvp.eqThreshold = 5; },
-        [](Vp &v) { v.hermes.trainingTheta = 15; },
-        [](Vp &v) { v.hermes.lvp.confProbs.front() = 0.5; },
-        [](Vp &v) { v.tournamentPartition = true; },
-        [](Vp &v) { v.accel = "vtage"; },
-        [](Vp &v) { v.recovery = core::RecoveryMode::OracleReplay; },
-        [](Vp &v) { v.vpeDesign = core::VpeDesign::PortArbitration; },
-        [](Vp &v) { v.dlvpPrefetch = false; },
-        [](Vp &v) { v.useLscd = false; },
-        [](Vp &v) { v.paqLifetime = 4; },
-        [](Vp &v) { v.pvtSize = 64; },
-        [](Vp &v) { v.rngSeed = 7; },
-    };
     Figure f{.name = "mutations", .cells = {.workloads = {"mcf"}}};
     f.cells.configs.push_back({"base", sim::dlvpConfig()});
-    for (const auto mutate : mutations) {
-        f.cells.configs.push_back({"mutated", sim::dlvpConfig()});
-        mutate(f.cells.configs.back().vp);
-    }
+    for (const core::VpConfig &vp : oneFieldOff(sim::dlvpConfig()))
+        f.cells.configs.push_back({"mutated", vp});
+    for (const core::CoreParams &core : oneFieldOff(sim::baselineCore()))
+        f.cells.cores.push_back(core);
     // Equal values share a cell whatever their names: a renamed copy
-    // of the base adds no column.
+    // of the base adds no column, a second baseline core no grid.
     f.cells.configs.push_back({"base again", sim::dlvpConfig()});
+    f.cells.cores.push_back(sim::baselineCore());
 
     const auto grids = planGrids({&f});
-    ASSERT_EQ(grids.size(), 1u);
-    EXPECT_EQ(grids[0].workloads, std::vector<std::string>{"mcf"});
-    EXPECT_EQ(grids[0].configs.size(), mutations.size() + 1);
-    EXPECT_EQ(grids[0].configs.front().name, "base");
+    ASSERT_EQ(grids.size(), f.cells.cores.size() - 1);
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+        EXPECT_EQ(grids[g].core, f.cells.cores[g]);
+        EXPECT_EQ(grids[g].workloads, std::vector<std::string>{"mcf"});
+        EXPECT_EQ(grids[g].configs.size(), f.cells.configs.size() - 1);
+        EXPECT_EQ(grids[g].configs.front().name, "base");
+    }
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/zero_buf.hh"
@@ -20,13 +21,18 @@
 namespace dlvp::mem
 {
 
+#define DLVP_CACHE_PARAMS_FIELDS(X) \
+    X(std::string, name, "cache") \
+    X(std::size_t, sizeBytes, 64 * 1024) \
+    X(unsigned, assoc, 4) \
+    X(unsigned, blockBytes, 64) \
+    X(unsigned, hitLatency, 2)
+
 struct CacheParams
 {
-    std::string name = "cache";
-    std::size_t sizeBytes = 64 * 1024;
-    unsigned assoc = 4;
-    unsigned blockBytes = 64;
-    unsigned hitLatency = 2;
+    DLVP_FIELDS(DLVP_CACHE_PARAMS_FIELDS)
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 class Cache

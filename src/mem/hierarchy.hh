@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 #include "mem/prefetcher.hh"
@@ -20,16 +21,21 @@
 namespace dlvp::mem
 {
 
+#define DLVP_HIERARCHY_PARAMS_FIELDS(X) \
+    X(CacheParams, l1i, {"l1i", 64 * 1024, 4, 64, 1}) \
+    X(CacheParams, l1d, {"l1d", 64 * 1024, 4, 64, 2}) \
+    X(CacheParams, l2, {"l2", 512 * 1024, 8, 128, 16}) \
+    X(CacheParams, l3, {"l3", 8 * 1024 * 1024, 16, 128, 32}) \
+    X(unsigned, memLatency, 200) \
+    X(TlbParams, tlb, {}) \
+    X(StridePrefetcherParams, prefetcher, {}) \
+    X(bool, enablePrefetcher, true)
+
 struct HierarchyParams
 {
-    CacheParams l1i{"l1i", 64 * 1024, 4, 64, 1};
-    CacheParams l1d{"l1d", 64 * 1024, 4, 64, 2};
-    CacheParams l2{"l2", 512 * 1024, 8, 128, 16};
-    CacheParams l3{"l3", 8 * 1024 * 1024, 16, 128, 32};
-    unsigned memLatency = 200;
-    TlbParams tlb{};
-    StridePrefetcherParams prefetcher{};
-    bool enablePrefetcher = true;
+    DLVP_FIELDS(DLVP_HIERARCHY_PARAMS_FIELDS)
+
+    bool operator==(const HierarchyParams &) const = default;
 };
 
 /** Outcome of a demand data access. */

@@ -10,16 +10,22 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace dlvp::mem
 {
 
+#define DLVP_STRIDE_PREFETCHER_PARAMS_FIELDS(X) \
+    X(unsigned, entries, 256) \
+    X(unsigned, confThreshold, 2) \
+    X(unsigned, degree, 2) /* lines prefetched ahead */
+
 struct StridePrefetcherParams
 {
-    unsigned entries = 256;
-    unsigned confThreshold = 2;
-    unsigned degree = 2; ///< lines prefetched ahead
+    DLVP_FIELDS(DLVP_STRIDE_PREFETCHER_PARAMS_FIELDS)
+
+    bool operator==(const StridePrefetcherParams &) const = default;
 };
 
 /**

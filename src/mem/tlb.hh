@@ -8,18 +8,24 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 
 namespace dlvp::mem
 {
 
+#define DLVP_TLB_PARAMS_FIELDS(X) \
+    X(unsigned, entries, 512) \
+    X(unsigned, assoc, 8) \
+    X(unsigned, pageBytes, 4096) \
+    X(unsigned, missPenalty, 24) /* page-walk cycles */
+
 struct TlbParams
 {
-    unsigned entries = 512;
-    unsigned assoc = 8;
-    unsigned pageBytes = 4096;
-    unsigned missPenalty = 24; ///< page-walk cycles
+    DLVP_FIELDS(DLVP_TLB_PARAMS_FIELDS)
+
+    bool operator==(const TlbParams &) const = default;
 };
 
 class Tlb

@@ -44,6 +44,7 @@
 #include <span>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "pred/balcvp.hh"
 #include "pred/cap.hh"
@@ -67,22 +68,23 @@ struct AccelStats
     std::uint64_t &writes;  ///< CoreStats::predictorWrites
 };
 
+#define DLVP_ACCEL_PARAMS_FIELDS(X) \
+    X(PapParams, pap, {}) \
+    X(CapParams, cap, {}) \
+    X(StrideApParams, strideAp, {}) \
+    X(VtageParams, vtage, {}) \
+    X(DvtageParams, dvtage, {}) \
+    X(BalcvpParams, balcvp, {}) \
+    X(HermesParams, hermes, {}) \
+    /* Tournament-only: the "more intelligent chooser" future work of \
+       SS5.2.3. Suppress VTAGE training for loads DLVP already covers \
+       correctly, freeing VTAGE capacity for loads only it can catch. */ \
+    X(bool, tournamentPartition, false)
+
 /** Union of every accelerator's parameters (cheap: POD + vectors). */
 struct AccelParams
 {
-    PapParams pap{};
-    CapParams cap{};
-    StrideApParams strideAp{};
-    VtageParams vtage{};
-    DvtageParams dvtage{};
-    BalcvpParams balcvp{};
-    HermesParams hermes{};
-    /**
-     * Tournament-only: the "more intelligent chooser" future work of
-     * SS5.2.3. Suppress VTAGE training for loads DLVP already covers
-     * correctly, freeing VTAGE capacity for loads only it can catch.
-     */
-    bool tournamentPartition = false;
+    DLVP_FIELDS(DLVP_ACCEL_PARAMS_FIELDS)
 
     bool operator==(const AccelParams &) const = default;
 };

@@ -31,28 +31,30 @@
 #include <vector>
 
 #include "common/bits.hh"
+#include "common/fields.hh"
 #include "common/spec_state.hh"
 #include "common/types.hh"
 
 namespace dlvp::pred
 {
 
+#define DLVP_BALCVP_PARAMS_FIELDS(X) \
+    X(unsigned, valueBits, 10) /* 1k-entry last-committed-value table */ \
+    X(unsigned, eqBits, 12) /* 4k-entry equality predictor */ \
+    X(unsigned, tagBits, 14) \
+    /* Saturation ceiling of the dual equality counters. */ \
+    X(unsigned, counterMax, 7) \
+    /* "Value repeated" count required before predicting. */ \
+    X(unsigned, eqThreshold, 6) \
+    /* Maximum tolerated "value changed" count when predicting. */ \
+    X(unsigned, neTolerance, 1) \
+    /* Unresolved-speculation depth the recovery model can rewind; \
+       predictions are withheld beyond it. */ \
+    X(unsigned, maxSpecDistance, 64)
+
 struct BalcvpParams
 {
-    unsigned valueBits = 10; ///< 1k-entry last-committed-value table
-    unsigned eqBits = 12;    ///< 4k-entry equality predictor
-    unsigned tagBits = 14;
-    /** Saturation ceiling of the dual equality counters. */
-    unsigned counterMax = 7;
-    /** "Value repeated" count required before predicting. */
-    unsigned eqThreshold = 6;
-    /** Maximum tolerated "value changed" count when predicting. */
-    unsigned neTolerance = 1;
-    /**
-     * Unresolved-speculation depth the recovery model can rewind;
-     * predictions are withheld beyond it.
-     */
-    unsigned maxSpecDistance = 64;
+    DLVP_FIELDS(DLVP_BALCVP_PARAMS_FIELDS)
 
     bool operator==(const BalcvpParams &) const = default;
 };

@@ -19,19 +19,23 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace dlvp::pred
 {
 
+#define DLVP_CAP_PARAMS_FIELDS(X) \
+    X(unsigned, lbBits, 10) /* 1k-entry load buffer */ \
+    X(unsigned, linkBits, 10) /* 1k-entry link table */ \
+    X(unsigned, tagBits, 14) \
+    X(unsigned, histBits, 16) /* per-load folded address history */ \
+    X(unsigned, confThreshold, 8) /* swept 3..64 in Figure 4 */ \
+    X(unsigned, addrBits, 49)
+
 struct CapParams
 {
-    unsigned lbBits = 10;   ///< 1k-entry load buffer
-    unsigned linkBits = 10; ///< 1k-entry link table
-    unsigned tagBits = 14;
-    unsigned histBits = 16; ///< per-load folded address history
-    unsigned confThreshold = 8; ///< swept 3..64 in Figure 4
-    unsigned addrBits = 49;
+    DLVP_FIELDS(DLVP_CAP_PARAMS_FIELDS)
 
     bool operator==(const CapParams &) const = default;
 };

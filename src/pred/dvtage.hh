@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/fpc.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -35,15 +36,18 @@
 namespace dlvp::pred
 {
 
+#define DLVP_DVTAGE_PARAMS_FIELDS(X) \
+    X(unsigned, lvtBits, 8) /* 256-entry last-value table */ \
+    X(unsigned, tableBits, 8) /* 256 entries per delta table */ \
+    X(std::vector<unsigned>, histLengths, {2, 5, 13}) \
+    X(unsigned, tagBits, 16) \
+    X(std::vector<double>, confProbs, \
+      {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16}) \
+    X(bool, loadsOnly, true)
+
 struct DvtageParams
 {
-    unsigned lvtBits = 8;   ///< 256-entry last-value table
-    unsigned tableBits = 8; ///< 256 entries per delta table
-    std::vector<unsigned> histLengths = {2, 5, 13};
-    unsigned tagBits = 16;
-    std::vector<double> confProbs =
-        {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16};
-    bool loadsOnly = true;
+    DLVP_FIELDS(DLVP_DVTAGE_PARAMS_FIELDS)
 
     bool operator==(const DvtageParams &) const = default;
 };

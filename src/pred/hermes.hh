@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/bits.hh"
+#include "common/fields.hh"
 #include "common/spec_state.hh"
 #include "common/types.hh"
 #include "pred/lvp.hh"
@@ -36,24 +37,25 @@
 namespace dlvp::pred
 {
 
+#define DLVP_HERMES_PARAMS_FIELDS(X) \
+    X(unsigned, tableBits, 10) /* entries per perceptron feature table */ \
+    X(int, weightMax, 31) /* 6-bit signed weights */ \
+    X(int, weightMin, -32) \
+    /* Perceptron sum at/above which the load is predicted slow. */ \
+    X(int, activationThreshold, 0) \
+    /* Train on correct predictions while |sum| <= theta. */ \
+    X(int, trainingTheta, 14) \
+    /* Completion latency (cycles) at/above which a load counts as \
+       long-latency for training. Default sits above the L2 round \
+       trip, so roughly "left the on-chip hierarchy". */ \
+    X(unsigned, slowLatency, 40) \
+    /* Unresolved value speculations tolerated before gating off. */ \
+    X(unsigned, maxSpecInflight, 32) \
+    X(LvpParams, lvp, {})
+
 struct HermesParams
 {
-    unsigned tableBits = 10; ///< entries per perceptron feature table
-    int weightMax = 31;      ///< 6-bit signed weights
-    int weightMin = -32;
-    /** Perceptron sum at/above which the load is predicted slow. */
-    int activationThreshold = 0;
-    /** Train on correct predictions while |sum| <= theta. */
-    int trainingTheta = 14;
-    /**
-     * Completion latency (cycles) at/above which a load counts as
-     * long-latency for training. Default sits above the L2 round
-     * trip, so roughly "left the on-chip hierarchy".
-     */
-    unsigned slowLatency = 40;
-    /** Unresolved value speculations tolerated before gating off. */
-    unsigned maxSpecInflight = 32;
-    LvpParams lvp{};
+    DLVP_FIELDS(DLVP_HERMES_PARAMS_FIELDS)
 
     bool operator==(const HermesParams &) const = default;
 };

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bits.hh"
+#include "common/fields.hh"
 #include "common/fpc.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -25,13 +26,16 @@
 namespace dlvp::pred
 {
 
+#define DLVP_LVP_PARAMS_FIELDS(X) \
+    X(unsigned, tableBits, 10) /* 1k entries, direct-mapped */ \
+    X(unsigned, tagBits, 14) \
+    /* 3-bit FPC, VTAGE-style ~64-observation requirement. */ \
+    X(std::vector<double>, confProbs, \
+      {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16})
+
 struct LvpParams
 {
-    unsigned tableBits = 10; ///< 1k entries, direct-mapped
-    unsigned tagBits = 14;
-    /** 3-bit FPC, VTAGE-style ~64-observation requirement. */
-    std::vector<double> confProbs =
-        {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16};
+    DLVP_FIELDS(DLVP_LVP_PARAMS_FIELDS)
 
     bool operator==(const LvpParams &) const = default;
 };

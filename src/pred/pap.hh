@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/fpc.hh"
 #include "common/folded_history.hh"
 #include "common/rng.hh"
@@ -41,24 +42,25 @@ enum class PapAllocPolicy : std::uint8_t
     Policy2, ///< replace only if its confidence is zero, else decay
 };
 
+#define DLVP_PAP_PARAMS_FIELDS(X) \
+    X(unsigned, tableBits, 10) /* log2 of total entries */ \
+    /* APT associativity. The paper's APT is direct-mapped (1); the \
+       context-rich workloads in this suite thrash a direct-mapped \
+       table, so the set-associative option is provided as an \
+       extension (ablated by the abl_pap_design figure). */ \
+    X(unsigned, assoc, 1) \
+    X(unsigned, tagBits, 14) \
+    X(unsigned, histBits, 16) /* load-path history length */ \
+    X(std::vector<double>, confProbs, {1.0, 0.5, 0.25}) \
+    X(bool, wayPrediction, true) \
+    X(unsigned, addrBits, 49) /* ARMv8 address width (storage audit) */ \
+    /* The paper adopts Policy-2 ("entries with high confidence can \
+       survive eviction"); Policy-1 is kept for the ablation bench. */ \
+    X(PapAllocPolicy, allocPolicy, PapAllocPolicy::Policy2)
+
 struct PapParams
 {
-    unsigned tableBits = 10; ///< log2 of total entries
-    /**
-     * APT associativity. The paper's APT is direct-mapped (1); the
-     * context-rich workloads in this suite thrash a direct-mapped
-     * table, so the set-associative option is provided as an
-     * extension (ablated by the abl_pap_design figure).
-     */
-    unsigned assoc = 1;
-    unsigned tagBits = 14;
-    unsigned histBits = 16;  ///< load-path history length
-    std::vector<double> confProbs = {1.0, 0.5, 0.25};
-    bool wayPrediction = true;
-    unsigned addrBits = 49;  ///< ARMv8 address width (storage audit)
-    /** The paper adopts Policy-2 ("entries with high confidence can
-     *  survive eviction"); Policy-1 is kept for the ablation bench. */
-    PapAllocPolicy allocPolicy = PapAllocPolicy::Policy2;
+    DLVP_FIELDS(DLVP_PAP_PARAMS_FIELDS)
 
     bool operator==(const PapParams &) const = default;
 };

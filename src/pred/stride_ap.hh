@@ -22,17 +22,21 @@
 #include <vector>
 
 #include "common/bits.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace dlvp::pred
 {
 
+#define DLVP_STRIDE_AP_PARAMS_FIELDS(X) \
+    X(unsigned, tableBits, 10) \
+    X(unsigned, tagBits, 14) \
+    X(unsigned, confThreshold, 4) /* stride repeats before predicting */ \
+    X(unsigned, addrBits, 49)
+
 struct StrideApParams
 {
-    unsigned tableBits = 10;
-    unsigned tagBits = 14;
-    unsigned confThreshold = 4; ///< stride repeats before predicting
-    unsigned addrBits = 49;
+    DLVP_FIELDS(DLVP_STRIDE_AP_PARAMS_FIELDS)
 
     bool operator==(const StrideApParams &) const = default;
 };

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/fpc.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -51,19 +52,22 @@ enum class VtageFilter : std::uint8_t
     Static,  ///< preloaded: LDP, LDM, VLD blocked
 };
 
+#define DLVP_VTAGE_PARAMS_FIELDS(X) \
+    X(unsigned, tableBits, 8) /* 256 entries per table */ \
+    X(std::vector<unsigned>, histLengths, {0, 5, 13}) \
+    X(unsigned, tagBits, 16) \
+    /* 3-bit FPC emulating a 64-observation confidence requirement. */ \
+    X(std::vector<double>, confProbs, \
+      {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16}) \
+    X(VtageFilter, filter, VtageFilter::Static) \
+    X(bool, loadsOnly, true) \
+    /* Dynamic filter: block below this accuracy. */ \
+    X(double, dynFilterThreshold, 0.95) \
+    X(unsigned, dynFilterMinSamples, 256)
+
 struct VtageParams
 {
-    unsigned tableBits = 8; ///< 256 entries per table
-    std::vector<unsigned> histLengths = {0, 5, 13};
-    unsigned tagBits = 16;
-    /** 3-bit FPC emulating a 64-observation confidence requirement. */
-    std::vector<double> confProbs =
-        {1.0, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 8, 1.0 / 16, 1.0 / 16};
-    VtageFilter filter = VtageFilter::Static;
-    bool loadsOnly = true;
-    /** Dynamic filter: block below this accuracy. */
-    double dynFilterThreshold = 0.95;
-    unsigned dynFilterMinSamples = 256;
+    DLVP_FIELDS(DLVP_VTAGE_PARAMS_FIELDS)
 
     bool operator==(const VtageParams &) const = default;
 };

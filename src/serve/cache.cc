@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "common/fault_inject.hh"
+#include "common/fields.hh"
 #include "common/run_error.hh"
 
 namespace dlvp::serve
@@ -151,37 +152,17 @@ hex16(std::uint64_t v)
 std::string
 cacheKeyCanonical(const CacheKey &key)
 {
-    const core::CoreParams &c = key.core;
-    const mem::HierarchyParams &m = c.memory;
-    const sim::SampleSpec &s = key.sample;
-    std::ostringstream os;
-    os << "epoch=" << kCacheEpoch;
-    os << "|workload=" << key.workload;
-    os << "|config=" << key.config;
-    os << "|insts=" << key.insts;
-    os << "|seed=" << key.seed;
-    os << "|core=" << c.fetchWidth << ',' << c.dispatchWidth << ','
-       << c.issueWidth << ',' << c.lsLanes << ',' << c.commitWidth
-       << ',' << c.robSize << ',' << c.iqSize << ',' << c.ldqSize
-       << ',' << c.stqSize << ',' << c.numPhysRegs << ','
-       << c.fetchToDispatch << ',' << c.fetchToRename << ','
-       << c.aluLatency << ',' << c.loadExtraLatency << ','
-       << c.mulLatency << ',' << c.divLatency << ',' << c.fpLatency
-       << ',' << c.storeLatency << ',' << c.forwardLatency;
-    os << "|mem=" << m.memLatency << ','
-       << (m.enablePrefetcher ? 1 : 0);
-    for (const mem::CacheParams *cp :
-         {&m.l1i, &m.l1d, &m.l2, &m.l3})
-        os << ';' << cp->sizeBytes << ',' << cp->assoc << ','
-           << cp->blockBytes << ',' << cp->hitLatency;
-    os << "|tlb=" << m.tlb.entries << ',' << m.tlb.assoc << ','
-       << m.tlb.pageBytes << ',' << m.tlb.missPenalty;
-    os << "|pf=" << m.prefetcher.entries << ','
-       << m.prefetcher.confThreshold << ',' << m.prefetcher.degree;
-    os << "|sample=" << (s.enabled ? 1 : 0) << ',' << s.warmupInsts
-       << ',' << s.measureInsts << ',' << s.periodInsts << ','
-       << (s.check ? 1 : 0);
-    return os.str();
+    std::string out;
+    out.reserve(640);
+    common::appendCanonical(out, kCacheEpoch);
+    common::appendCanonical(out, key.workload);
+    common::appendCanonical(out, key.config);
+    common::appendCanonical(out, key.insts);
+    common::appendCanonical(out, key.seed);
+    common::appendCanonical(out, key.core);
+    common::appendCanonical(out, key.vp);
+    common::appendCanonical(out, key.sample);
+    return out;
 }
 
 std::string

@@ -6,8 +6,8 @@
  * sweeps"), so a finished (workload, config, seed, core, sample) cell
  * is perfectly cacheable: a hit is provably the byte-identical row the
  * simulator would produce. The cache therefore stores the *rendered*
- * dlvp-sweep-v1 row JSON, keyed by a canonical FNV-1a hash of every
- * input that can change the row.
+ * dlvp-sweep-v1 row JSON, keyed by an FNV-1a hash of the cell's value:
+ * the canonical text (common/fields.hh) of everything the worker runs.
  *
  * Crash safety (DESIGN.md §14) is the design driver:
  *
@@ -51,13 +51,13 @@ namespace dlvp::serve
 {
 
 /**
- * Engine version baked into every cache key. Bump whenever a change
- * anywhere in the simulator can alter a rendered row for the same
- * request — config-name semantics, predictor defaults, TLB/prefetcher
- * tuning, report formatting — or the entry file format changes, so
- * stale entries become unreachable instead of wrong.
+ * Engine version baked into every cache key. Parameters are in the key
+ * by value, so a new default or config meaning needs no bump; bump it
+ * when the entry file format, the row renderer or the simulator's
+ * behaviour for the same parameters changes, so stale entries become
+ * unreachable instead of wrong.
  */
-inline constexpr unsigned kCacheEpoch = 2;
+inline constexpr unsigned kCacheEpoch = 3;
 
 /** FNV-1a 64-bit over @p n bytes (the cache's only hash). */
 std::uint64_t fnv1a64(const char *data, std::size_t n);
@@ -69,20 +69,20 @@ std::string hex16(std::uint64_t v);
 struct CacheKey
 {
     std::string workload;
-    std::string config; ///< catalog name; semantics pinned by epoch
+    std::string config; ///< catalog name, rendered into the row
     std::size_t insts = 0;
     std::uint64_t seed = 0; ///< VpConfig::rngSeed override (0 = fixed)
     core::CoreParams core{};
+    /** The resolved config the worker runs, seed applied. */
+    core::VpConfig vp{};
     sim::SampleSpec sample{};
 };
 
 /**
- * Canonical field-by-field serialization of @p key, starting with
- * kCacheEpoch. Every CoreParams and SampleSpec field that can change
- * a row appears explicitly; the two watchdog budgets
- * (maxNoCommitCycles, maxWallMs) are deliberately excluded — they
- * bound wall clock, never architectural results, and serve derives
- * maxWallMs from each request's deadline.
+ * kCacheEpoch, workload, config name, insts and seed, then the
+ * canonical text of core, vp and sample. The watchdog budgets sit
+ * outside CoreParams' field list, so requests that differ only in
+ * deadline share one entry.
  */
 std::string cacheKeyCanonical(const CacheKey &key);
 

@@ -103,7 +103,6 @@ struct Server::Job
     double priority = 0.0;
     CacheKey key;
     std::string keyHash;
-    core::VpConfig vp;
     bool degraded = false;
     double deadlineMs = 0.0; ///< 0 = unlimited
     Clock::time_point admitted;
@@ -413,7 +412,7 @@ Server::admit(const std::shared_ptr<Connection> &conn,
     if (c == nullptr || !c->isString() || c->str.empty())
         throw RunError(ErrorKind::Internal,
                        "run request needs a \"config\" string");
-    if (!sim::configByName(c->str, job->vp)) {
+    if (!sim::configByName(c->str, job->key.vp)) {
         std::string msg = "unknown config \"" + c->str + "\"";
         const std::string hint = sim::suggestConfig(c->str);
         if (!hint.empty())
@@ -423,7 +422,7 @@ Server::admit(const std::shared_ptr<Connection> &conn,
 
     job->key.workload = w->str;
     job->key.config = c->str;
-    job->key.core = opts_.core;
+    job->key.core = sim::baselineCore();
     job->key.insts = opts_.insts;
     if (const JsonValue *v = req.find("insts")) {
         job->key.insts = v->asSize(0);
@@ -432,7 +431,7 @@ Server::admit(const std::shared_ptr<Connection> &conn,
     }
     if (const JsonValue *v = req.find("seed")) {
         job->key.seed = sizeField(*v, "seed");
-        job->vp.rngSeed = job->key.seed;
+        job->key.vp.rngSeed = job->key.seed;
     }
     if (const JsonValue *v = req.find("client")) {
         if (!v->isString())
@@ -682,6 +681,7 @@ Server::execute(const std::shared_ptr<Job> &job)
     CacheKey baselineKey = job->key;
     baselineKey.config = "baseline";
     baselineKey.seed = 0;
+    baselineKey.vp = sim::baselineVp();
     const std::string baselineHash = cacheKeyHash(baselineKey);
     core::CoreStats baseline;
     bool baselineOk = false;
@@ -698,7 +698,7 @@ Server::execute(const std::shared_ptr<Job> &job)
         ++stats_.baselineReuses;
     } else {
         cell.config = "baseline";
-        cell.vp = sim::baselineVp();
+        cell.vp = baselineKey.vp;
         const sim::CellResult base = sim::runCell(cell, store_);
         // Only ok stats are kept: a timeout or failure belongs to this
         // request's deadline or fault plan, not to the key.
@@ -710,7 +710,7 @@ Server::execute(const std::shared_ptr<Job> &job)
         }
     }
     cell.config = config;
-    cell.vp = job->vp;
+    cell.vp = job->key.vp;
     const sim::CellResult res = sim::runCell(cell, store_);
     store_.evict(workload, job->key.insts);
 

@@ -98,8 +98,6 @@ struct ServeOptions
     double defaultDeadlineMs = 0.0;
     /** Default micro-ops per workload trace. */
     std::size_t insts = sim::kDefaultInsts;
-    /** Core parameters every served cell runs with (part of the key). */
-    core::CoreParams core{};
     /**
      * Sampling spec applied to shed requests (enabled is forced on).
      * check=true additionally measures cpi_error per degraded row —
@@ -236,8 +234,8 @@ class Server
 
     /**
      * Stats of every baseline cell that ran ok, keyed by the
-     * cacheKeyHash of its own key (config "baseline", seed 0). Stats
-     * only, never a trace; not persisted.
+     * cacheKeyHash of its own key (config "baseline", seed 0, vp
+     * sim::baselineVp()). Stats only, never a trace; not persisted.
      */
     std::mutex bm_;
     std::map<std::string, core::CoreStats> baselines_;

@@ -10,8 +10,24 @@
 
 #include <cstddef>
 
+#include "common/fields.hh"
+
 namespace dlvp::sim
 {
+
+#define DLVP_SAMPLE_SPEC_FIELDS(X) \
+    /* Master switch (sweeps carry a SampleSpec unconditionally). */ \
+    X(bool, enabled, false) \
+    /* Detailed-warmup instructions per interval (stats discarded). */ \
+    X(std::size_t, warmupInsts, 40000) \
+    /* Measured instructions per interval (stats accumulated). */ \
+    X(std::size_t, measureInsts, 20000) \
+    /* Distance between interval starts; must cover warmup+measure. */ \
+    X(std::size_t, periodInsts, 180000) \
+    /* Also run the full trace and record the sampled-vs-full CPI \
+       error. Costs a full detailed run — for validation sweeps \
+       (EXPERIMENTS.md), not production sampling. */ \
+    X(bool, check, false)
 
 /**
  * Interval sampling parameters (see sim/sampler.hh).
@@ -28,24 +44,9 @@ namespace dlvp::sim
  */
 struct SampleSpec
 {
-    /** Master switch (sweeps carry a SampleSpec unconditionally). */
-    bool enabled = false;
+    DLVP_FIELDS(DLVP_SAMPLE_SPEC_FIELDS)
 
-    /** Detailed-warmup instructions per interval (stats discarded). */
-    std::size_t warmupInsts = 40000;
-
-    /** Measured instructions per interval (stats accumulated). */
-    std::size_t measureInsts = 20000;
-
-    /** Distance between interval starts; must cover warmup+measure. */
-    std::size_t periodInsts = 180000;
-
-    /**
-     * Also run the full trace and record the sampled-vs-full CPI
-     * error. Costs a full detailed run — for validation sweeps
-     * (EXPERIMENTS.md), not production sampling.
-     */
-    bool check = false;
+    bool operator==(const SampleSpec &) const = default;
 };
 
 } // namespace dlvp::sim

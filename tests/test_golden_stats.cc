@@ -32,10 +32,12 @@
 #include <set>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/run_error.hh"
 #include "core/core.hh"
 #include "core/core_stats.hh"
 #include "pred/accel.hh"
+#include "serve/cache.hh"
 #include "sim/configs.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
@@ -68,33 +70,24 @@ struct GoldenEntry
 
 #include "golden_core_stats.inc"
 
+/** The golden configs, in table order: catalog names and one local. */
+const char *const kGoldenConfigs[] = {
+    "baseline", "dlvp",  "tournament", "cap_lowconf", "stride-dlvp",
+    "vtage",    "dvtage", "balcvp",    "hermes"};
+
 core::VpConfig
-configByName(const std::string &name)
+goldenConfig(const std::string &name)
 {
-    if (name == "baseline")
-        return sim::baselineVp();
-    if (name == "dlvp")
-        return sim::dlvpConfig();
-    if (name == "tournament")
-        return sim::tournamentConfig();
     // Flush-heavy design point: a confidence threshold of 1 makes CAP
     // predict aggressively and wrongly, so value-misprediction flushes
     // (plus their squash/refetch recovery) dominate — pinning the
     // event-driven engine's flush paths, not just its steady state.
     if (name == "cap_lowconf")
         return sim::capConfig(1);
-    if (name == "stride_dlvp")
-        return sim::strideDlvpConfig();
-    if (name == "vtage")
-        return sim::vtageConfig();
-    if (name == "dvtage")
-        return sim::dvtageConfig();
-    if (name == "balcvp")
-        return sim::balcvpConfig();
-    if (name == "hermes")
-        return sim::hermesConfig();
-    ADD_FAILURE() << "unknown golden config " << name;
-    return sim::baselineVp();
+    core::VpConfig vp;
+    EXPECT_TRUE(sim::configByName(name, vp))
+        << "unknown golden config " << name;
+    return vp;
 }
 
 core::CoreStats
@@ -103,7 +96,7 @@ runOne(sim::TraceStore &store, const std::string &workload,
 {
     const sim::Simulator sim(sim::baselineCore(), kGoldenInsts, &store);
     auto tr = store.acquire(workload, kGoldenInsts);
-    return sim.run(*tr, configByName(config));
+    return sim.run(*tr, goldenConfig(config));
 }
 
 /** DLVP_GOLDEN_RECORD=1: print a fresh .inc table instead of testing. */
@@ -119,12 +112,10 @@ maybeRecord()
               << "// clang-format off\n"
               << "const GoldenEntry kGolden[] = {\n";
     for (const char *w : {"perlbmk", "mcf", "crafty"}) {
-        for (const char *c :
-             {"baseline", "dlvp", "tournament", "cap_lowconf",
-              "stride_dlvp", "vtage", "dvtage", "balcvp", "hermes"}) {
+        for (const char *c : kGoldenConfigs) {
             const auto s = runOne(store, w, c);
             std::cout << "    {\"" << w << "\", \"" << c << "\", \""
-                      << configByName(c).accel << "\",\n     {";
+                      << goldenConfig(c).accel << "\",\n     {";
             std::size_t i = 0;
 #define DLVP_PRINT_FIELD(f) \
     std::cout << (i++ ? ", " : "") << s.f << "ull";
@@ -173,7 +164,7 @@ TEST(GoldenStats, PinsEveryAccelerator)
         keys.insert(info.key);
     std::set<std::string> pinned;
     for (const GoldenEntry &e : kGolden) {
-        EXPECT_EQ(configByName(e.config).accel, e.accel)
+        EXPECT_EQ(goldenConfig(e.config).accel, e.accel)
             << e.workload << "/" << e.config;
         EXPECT_TRUE(keys.count(e.accel))
             << e.workload << "/" << e.config << " pins '" << e.accel
@@ -187,6 +178,29 @@ TEST(GoldenStats, PinsEveryAccelerator)
         EXPECT_TRUE(keys.count(c.make().accel))
             << "config '" << c.name << "' instantiates '"
             << c.make().accel << "', which is not in the table";
+}
+
+/**
+ * The cache epoch's remaining duty: serve::kCacheEpoch must be bumped
+ * when the simulator's behaviour for the same parameters changes, and
+ * a re-recorded table marks such a change. The table's digest is
+ * pinned next to the epoch, so re-recording fails here until the
+ * epoch is bumped and both are re-pinned. Necessary, not sufficient:
+ * a behaviour change that moves no golden row escapes it.
+ */
+TEST(GoldenStats, RecordedTablePinsTheCacheEpoch)
+{
+    std::string text;
+    for (const GoldenEntry &e : kGolden) {
+        for (const char *s : {e.workload, e.config, e.accel})
+            common::appendCanonical(text, std::string(s));
+        for (const std::uint64_t v : e.v)
+            common::appendCanonical(text, v);
+    }
+    EXPECT_EQ(serve::hex16(serve::fnv1a64(text.data(), text.size())),
+              "0bf913f2023d1bfd")
+        << "goldens re-recorded: bump serve::kCacheEpoch, re-pin both";
+    EXPECT_EQ(serve::kCacheEpoch, 3u) << "re-pin with the table's digest";
 }
 
 /** A v2 file of a trace, removed when the test ends. */
@@ -252,7 +266,7 @@ TEST(GoldenStats, ResetCoreMatchesSnapshot)
         const auto tr = store.acquire(e.workload, kGoldenInsts);
         const auto warmup = static_cast<std::size_t>(
             static_cast<double>(tr->size()) * sim::kWarmupFraction);
-        const core::VpConfig vp = configByName(e.config);
+        const core::VpConfig vp = goldenConfig(e.config);
         ASSERT_TRUE(other.count(e.workload)) << e.workload;
 
         const auto prior = store.acquire(other.at(e.workload),

@@ -110,16 +110,7 @@ TEST_P(SchemeMatrix, InvariantsHold)
 {
     const auto &[workload, scheme] = GetParam();
     core::VpConfig vp;
-    if (std::string(scheme) == "dlvp")
-        vp = sim::dlvpConfig();
-    else if (std::string(scheme) == "cap")
-        vp = sim::capConfig();
-    else if (std::string(scheme) == "vtage")
-        vp = sim::vtageConfig();
-    else if (std::string(scheme) == "dvtage")
-        vp = sim::dvtageConfig();
-    else
-        vp = sim::tournamentConfig();
+    ASSERT_TRUE(sim::configByName(scheme, vp)) << scheme;
 
     sim::Simulator s(sim::baselineCore(), 40000);
     const auto r = s.run(workload, vp);

@@ -21,7 +21,6 @@
 #include "common/fault_inject.hh"
 #include "common/run_error.hh"
 #include "serve/server.hh"
-#include "sim/configs.hh"
 
 namespace
 {
@@ -76,7 +75,6 @@ int
 main(int argc, char **argv)
 {
     serve::ServeOptions opts;
-    opts.core = sim::baselineCore();
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--socket" && i + 1 < argc) {
